@@ -74,7 +74,7 @@ def _space_from_args(args) -> PolySpace:
             return PolySpace.from_json(obj)
         except SpaceError as exc:
             raise MathFailure(f"space rejected: {exc}") from None
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad space file: {exc}") from None
     return get_space(args.fixture)
 
@@ -362,7 +362,7 @@ def _seed_from_args(args) -> BetheTuple:
         obj = _load_json(args.file)
         try:
             seed = BetheTuple.from_json(obj)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad seed file: {exc}") from None
     else:
         seed = get_seed(args.fixture)

@@ -144,17 +144,13 @@ def rref(m) -> tuple[Mat, list[int]]:
     return Mat(rows), pivots
 
 
-def kernel(m) -> list[list]:
-    """Canonical basis of the right kernel, one vector per free column.
+def _kernel_basis(red: Mat, pivots: list[int], ncols: int) -> list[list]:
+    """Kernel basis read off a reduced echelon form and its pivots.
 
-    Each vector has 1 in its free column and the negated reduced entries in
-    the pivot columns; vectors are ordered by free column.
+    Only the first ncols columns are read, so the reduced form of an
+    augmented matrix [A | b] gives the kernel of A: its left block is
+    exactly rref(A), with the same pivots.
     """
-    rows = _as_rows(m)
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
     pivot_set = set(pivots)
     out = []
     for f in range(ncols):
@@ -168,14 +164,31 @@ def kernel(m) -> list[list]:
     return out
 
 
-def solve(m, rhs) -> tuple[list, list[list]] | None:
-    """All solutions of m x = rhs as (particular, kernel basis), or None.
+def kernel(m) -> list[list]:
+    """Canonical basis of the right kernel, one vector per free column.
 
-    The particular solution sets every free variable to zero.
+    Each vector has 1 in its free column and the negated reduced entries in
+    the pivot columns; vectors are ordered by free column.
     """
     rows = _as_rows(m)
     if not rows:
-        return ([], []) if not list(rhs) else None
+        return []
+    return _kernel_basis(*rref(rows), len(rows[0]))
+
+
+def solve(m, rhs) -> tuple[list, list[list]] | None:
+    """All solutions of m x = rhs as (particular, kernel basis), or None.
+
+    The particular solution sets every free variable to zero.  One
+    elimination of [m | rhs] gives both parts; the kernel basis is the one
+    ``kernel(m)`` returns.
+    """
+    rows = _as_rows(m)
+    rhs = list(rhs)
+    if not rows:
+        return ([], []) if not rhs else None
+    if len(rhs) != len(rows):
+        raise ValueError(f"right-hand side has {len(rhs)} entries for {len(rows)} rows")
     ncols = len(rows[0])
     aug = [row + [b] for row, b in zip(rows, rhs)]
     red, pivots = rref(aug)
@@ -184,7 +197,7 @@ def solve(m, rhs) -> tuple[list, list[list]] | None:
     x = [Fraction(0)] * ncols
     for r, c in enumerate(pivots):
         x[c] = red.rows[r][ncols]
-    return x, kernel(rows)
+    return x, _kernel_basis(red, pivots, ncols)
 
 
 def inverse(m) -> Mat:

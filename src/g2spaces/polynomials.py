@@ -246,7 +246,9 @@ class Poly:
 
     @staticmethod
     def from_json(obj) -> "Poly":
-        return Poly([Fraction(s) for s in obj])
+        """Coefficients as ints or exact strings; the constructor's
+        ``scalars.rat`` rejects floats with TypeError."""
+        return Poly(obj)
 
 
 # -- integer kernels -------------------------------------------------------

@@ -116,13 +116,21 @@ class PolySpace:
         return self._cache[key]
 
     def coords(self, f) -> list[Fraction] | None:
-        """Coordinates of f in the canonical basis, or None if f is outside."""
+        """Coordinates of f in the canonical basis, or None if f is outside.
+
+        Answers are memoized on the space, one exact solve per distinct f;
+        every call returns a fresh list, which the caller may mutate.
+        """
         f = Poly.lift(f)
-        top, mat = self._coord_solver()
-        if f.degree > top:
-            return None
-        sol = solve(mat, [f.coeff(i) for i in range(top + 1)])
-        return sol[0] if sol else None
+        memo = self._cache.setdefault("coords", {})
+        if f not in memo:
+            top, mat = self._coord_solver()
+            sol = None
+            if f.degree <= top:
+                sol = solve(mat, [f.coeff(i) for i in range(top + 1)])
+            memo[f] = tuple(sol[0]) if sol else None
+        c = memo[f]
+        return None if c is None else list(c)
 
     def contains(self, f) -> bool:
         return self.coords(f) is not None
@@ -216,7 +224,8 @@ class PolySpace:
             sd = all(self.contains(d) for d in self.duals())
             if sd:
                 T = self.ramification
-                assert list(T) == list(reversed(T)), "self-dual space with asymmetric divisors"
+                if list(T) != list(reversed(T)):
+                    raise SpaceError("self-dual space with asymmetric divisors")
             self._cache[key] = sd
         return self._cache[key]
 
@@ -244,7 +253,8 @@ class PolySpace:
             G = D * inverse(C)
             for i in range(self.dim):
                 for j in range(i):
-                    assert G.rows[i][j] == G.rows[j][i], "asymmetric invariant form"
+                    if G.rows[i][j] != G.rows[j][i]:
+                        raise SpaceError("asymmetric invariant form")
             self._cache[key] = BilinearForm(self, G)
         return self._cache[key]
 
@@ -300,18 +310,18 @@ class WittBasis:
         self._cache = {}
 
     def coords(self, f) -> list[Fraction] | None:
-        """Coordinates of f in the Witt basis, or None if f is outside."""
-        key = "mat"
-        if key not in self._cache:
-            top = self.space.basis[-1].degree
-            cols = [[p.coeff(i) for i in range(top + 1)] for p in self.vectors]
-            self._cache[key] = (top, Mat.from_cols(cols))
-        top, mat = self._cache[key]
-        f = Poly.lift(f)
-        if f.degree > top:
+        """Coordinates of f in the Witt basis, or None if f is outside.
+
+        Maps the space coordinates of f through the cached inverse of the
+        matrix whose columns are the space coordinates of the Witt vectors.
+        """
+        c = self.space.coords(f)
+        if c is None:
             return None
-        sol = solve(mat, [f.coeff(i) for i in range(top + 1)])
-        return sol[0] if sol else None
+        if "inv" not in self._cache:
+            cols = [self.space.coords(v) for v in self.vectors]
+            self._cache["inv"] = inverse(Mat.from_cols(cols))
+        return self._cache["inv"] * c
 
     def element(self, coords) -> Poly:
         out = Poly.zero()

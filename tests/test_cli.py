@@ -67,6 +67,14 @@ class TestSpaceCommands:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("command", ["check-ssd", "witt", "standard-basis"])
+    @pytest.mark.parametrize("entry", ["1/0", 1.5])
+    def test_malformed_number_is_input_error(self, capsys, tmp_path, command, entry):
+        path = write(tmp_path, "space.json", {"basis": [[entry]]})
+        code, out, err = run(capsys, "space", command, path)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unknown_fixture_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["space", "analyze", "--fixture", "nope"])
@@ -85,6 +93,14 @@ class TestPolyWronskian:
         code, out, _ = run(capsys, "poly", "wronskian", path, "--json")
         assert code == 0
         assert json.loads(out) == {"wronskian": ["-1"]}
+
+
+    @pytest.mark.parametrize("entry", ["1/0", 1.5])
+    def test_malformed_number_is_input_error(self, capsys, tmp_path, entry):
+        path = write(tmp_path, "polys.json", [["0", "1"], [entry]])
+        code, out, err = run(capsys, "poly", "wronskian", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestSpinCommands:
@@ -170,6 +186,14 @@ class TestBetheCommands:
         code, _, err = run(capsys, "bethe", "reproduce", "--direction", "5")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("entry", ["1/0", 1.5])
+    def test_reproduce_malformed_number_is_input_error(self, capsys, tmp_path, entry):
+        seed = {"kind": "G2", "polys": [["1"], ["1"]], "T": [[entry], ["1"]]}
+        path = write(tmp_path, "seed.json", seed)
+        code, out, err = run(capsys, "bethe", "reproduce", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_population_tree_shape_and_shallow_failure(self, capsys):
         code, out, _ = run(capsys, "bethe", "population", "--depth", "2", "--json")

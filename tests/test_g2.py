@@ -1,6 +1,7 @@
 """Three-form routes, standard-basis certification, and the decision pipeline."""
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -23,6 +24,8 @@ from g2spaces import (
     three_form_of_phi,
     verify_standard_basis,
 )
+from g2spaces import linalg
+from g2spaces.fixtures import get_space
 from g2spaces.g2 import _flip, _unit
 from g2spaces.linalg import Mat, rank, same_span
 from g2spaces.spaces import (
@@ -204,3 +207,20 @@ class TestFlags:
         y1, y2 = flag_to_pair(space, wb, flag)
         assert y1 == Poly.one()
         assert y2 == Poly.one()
+
+
+def test_check_ssd_eliminates_each_system_once(monkeypatch):
+    # Every module that imported rref holds its own binding; count them all.
+    original, calls = linalg.rref, []
+
+    def counted(m):
+        calls.append(1)
+        return original(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("g2spaces") and getattr(module, "rref", None) is original:
+            monkeypatch.setattr(module, "rref", counted)
+    space = get_space("shifted-2-3")
+    calls.clear()
+    assert check_ssd(space).verdict == "ssd"
+    assert len(calls) <= 100

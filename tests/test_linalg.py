@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2spaces.linalg import Mat, det, in_span, inverse, kernel, rank, rref, same_span, solve
 from g2spaces.scalars import SQRT2, QExt
@@ -54,6 +56,44 @@ def test_solve():
     assert len(ker2) == 2
     # Inconsistent.
     assert solve([[1, 1], [2, 2]], [1, 3]) is None
+    with pytest.raises(ValueError):
+        solve([[1, 1], [2, 2]], [1])
+
+
+@st.composite
+def linear_systems(draw):
+    """A random matrix of any rank and a right-hand side, consistent or not.
+
+    The matrix is a product of random factors through an inner dimension
+    that may be below both sides, so rank-deficient matrices are common.
+    """
+    small = st.integers(-3, 3)
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    inner = draw(st.integers(0, min(nrows, ncols)))
+    left = [[draw(small) for _ in range(inner)] for _ in range(nrows)]
+    right = [[draw(small) for _ in range(ncols)] for _ in range(inner)]
+    m = [[F(sum(left[i][k] * right[k][j] for k in range(inner))) for j in range(ncols)]
+         for i in range(nrows)]
+    if draw(st.booleans()):
+        y = [draw(small) for _ in range(ncols)]
+        rhs = [sum((a * b for a, b in zip(row, y)), F(0)) for row in m]
+    else:
+        rhs = [F(draw(small)) for _ in range(nrows)]
+    return m, rhs
+
+
+@settings(deadline=None)
+@given(linear_systems())
+def test_solve_kernel_is_kernel_of_matrix(system):
+    m, rhs = system
+    sol = solve(m, rhs)
+    if sol is None:
+        # Inconsistent: rhs raises the rank.
+        assert rank([row + [b] for row, b in zip(m, rhs)]) == rank(m) + 1
+        return
+    x, ker = sol
+    assert Mat(m) * x == rhs
+    assert ker == kernel(m)
 
 
 def test_inverse_and_det():

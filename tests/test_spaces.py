@@ -4,7 +4,11 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from g2spaces import spaces
+from g2spaces.linalg import Mat, solve
 from g2spaces.polynomials import Poly
 from g2spaces.spaces import (
     BasePointError,
@@ -151,6 +155,66 @@ def test_witt_basis_translated_space():
     B = sp.bilinear_form()
     assert B(wb.vectors[0], wb.vectors[6]) == 1
     assert B(wb.vectors[3], wb.vectors[3]) == -1
+
+
+small_rats = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+def _reference_coords(sp, f):
+    """Coordinates of f by one dense solve over all degrees of f and sp."""
+    top = max(sp.basis[-1].degree, f.degree)
+    cols = [[p.coeff(i) for i in range(top + 1)] for p in sp.basis]
+    sol = solve(Mat.from_cols(cols), [f.coeff(i) for i in range(top + 1)])
+    return sol[0] if sol else None
+
+
+@st.composite
+def spaces_and_queries(draw):
+    """A random space and polynomials to ask it about: members, random
+    polynomials (mostly outside), the zero polynomial, and polynomials of
+    degree above the top basis degree."""
+    poly = st.lists(small_rats, min_size=1, max_size=6).map(Poly)
+    polys = draw(st.lists(poly, min_size=1, max_size=4).filter(lambda ps: any(ps)))
+    sp = PolySpace(polys)
+    combo = draw(st.lists(small_rats, min_size=sp.dim, max_size=sp.dim))
+    above = Poly.monomial(sp.basis[-1].degree + draw(st.integers(1, 2)))
+    queries = [sp.element(combo), draw(poly), Poly.zero(), above, above + sp.basis[0]]
+    return sp, queries
+
+
+@settings(deadline=None)
+@given(spaces_and_queries())
+def test_memoized_coords_match_a_dense_solve(case):
+    sp, queries = case
+    assert sp.coords(queries[0]) is not None
+    for _ in range(2):  # the second pass answers from the memo
+        for f in queries:
+            want = _reference_coords(sp, f)
+            assert sp.coords(f) == want
+            assert sp.contains(f) == (want is not None)
+
+
+def test_coords_returns_a_fresh_list():
+    sp = monomial_space(1, 3)
+    f = X**4 + 2 * X
+    first = sp.coords(f)
+    assert first == [0, 2, 0, 1, 0, 0, 0]
+    first[1] = F(99)
+    assert sp.coords(f) == [0, 2, 0, 1, 0, 0, 0]
+    assert sp.coords(f) is not sp.coords(f)
+
+
+def test_asymmetric_ramification_of_a_self_dual_space_is_an_error(monkeypatch):
+    monkeypatch.setattr(PolySpace, "ramification", property(lambda self: (X, Poly.one())))
+    with pytest.raises(SpaceError, match="asymmetric divisors"):
+        monomial_space(1, 3).is_self_dual()
+
+
+def test_asymmetric_gram_matrix_is_an_error(monkeypatch):
+    upper = Mat([[F(int(i <= j)) for j in range(7)] for i in range(7)])
+    monkeypatch.setattr(spaces, "inverse", lambda m: upper)
+    with pytest.raises(SpaceError, match="asymmetric invariant form"):
+        monomial_space(1, 3).bilinear_form()
 
 
 def test_pair_coords():
