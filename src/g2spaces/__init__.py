@@ -33,14 +33,11 @@ from .spaces import (
     SpaceError,
     WittBasis,
     WittGramError,
-    bilinear_form,
     canonicalize,
-    check_self_dual,
     degree_window_space,
-    divided_wronskian,
     monomial_space,
-    ramification,
     witt_basis,
+    witt_form,
 )
 from .spin import (
     P_SPINOR,
@@ -55,7 +52,6 @@ from .spin import (
     invariant_surjection,
     preimages,
     spinor_embed,
-    witt_form,
     witt_quadratic,
 )
 from .g2 import (
@@ -91,6 +87,7 @@ from .bethe import (
     descendants,
     dominant_representative,
     fertility_solve,
+    genericity_defect,
     is_generic,
     population_bfs,
     reproduction_rhs,

@@ -40,7 +40,7 @@ from .g2 import (
 from .linalg import Mat, in_span, kernel, rank, same_span
 from .polynomials import Poly, wronskian
 from .scalars import QExt
-from .spaces import _witt_pair, monomial_space, witt_basis
+from .spaces import _witt_pair, monomial_space, witt_basis, witt_form
 from .spin import (
     Spinor,
     action_matrix,
@@ -49,7 +49,6 @@ from .spin import (
     hatB,
     hatQ,
     spinor_embed,
-    witt_form,
     witt_quadratic,
 )
 

@@ -92,15 +92,24 @@ class BetheTuple:
         )
 
 
+def genericity_defect(t: BetheTuple) -> str | None:
+    """Why t is not generic, or None when it is.
+
+    Generic means no coordinate has a multiple root and adjacent
+    coordinates are coprime; the first violation found is named.
+    """
+    for idx, p in enumerate(t.polys, 1):
+        if not poly_gcd(p, p.derivative()).is_constant():
+            return f"coordinate {idx} has multiple roots"
+    for idx, (a, b) in enumerate(zip(t.polys, t.polys[1:]), 1):
+        if not poly_gcd(a, b).is_constant():
+            return f"coordinates {idx} and {idx + 1} share a root"
+    return None
+
+
 def is_generic(t: BetheTuple) -> bool:
     """No coordinate has a multiple root; adjacent coordinates are coprime."""
-    for p in t.polys:
-        if not poly_gcd(p, p.derivative()).is_constant():
-            return False
-    for a, b in zip(t.polys, t.polys[1:]):
-        if not poly_gcd(a, b).is_constant():
-            return False
-    return True
+    return genericity_defect(t) is None
 
 
 @dataclass(frozen=True)

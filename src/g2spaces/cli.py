@@ -14,7 +14,7 @@ from .bethe import (
     BetheTuple,
     descendants,
     dominant_representative,
-    is_generic,
+    genericity_defect,
     population_bfs,
     shifted_orbit,
     space_from_population,
@@ -30,10 +30,11 @@ from .g2 import (
     flag_is_g2_isotropic,
     flag_to_pair,
     kernel_2form,
+    table_quadratic,
     three_form_from_spin,
     three_form_from_wronskians,
 )
-from .polynomials import Poly, poly_gcd, wronskian
+from .polynomials import Poly, wronskian
 from .scalars import QExt
 from .spaces import PolySpace, SpaceError, witt_basis
 from .spin import SpinError, preimages, spinor_embed
@@ -347,17 +348,8 @@ def cmd_g2_flags(args) -> int:
 # -- bethe ------------------------------------------------------------------
 
 
-def _genericity_diagnosis(t: BetheTuple) -> str:
-    for idx, p in enumerate(t.polys, 1):
-        if not poly_gcd(p, p.derivative()).is_constant():
-            return f"coordinate {idx} has multiple roots"
-    for idx in range(len(t.polys) - 1):
-        if not poly_gcd(t.polys[idx], t.polys[idx + 1]).is_constant():
-            return f"coordinates {idx + 1} and {idx + 2} share a root"
-    return "not generic"
-
-
 def _seed_from_args(args) -> BetheTuple:
+    """The seed named by the arguments; a non-generic seed is a MathFailure."""
     if args.file:
         obj = _load_json(args.file)
         try:
@@ -372,13 +364,14 @@ def _seed_from_args(args) -> BetheTuple:
         T1 = _poly_from_flag(args.T1) if args.T1 else seed.T[0]
         T2 = _poly_from_flag(args.T2) if args.T2 else seed.T[1]
         seed = BetheTuple(seed.kind, seed.polys, [T1, T2])
+    defect = genericity_defect(seed)
+    if defect is not None:
+        raise MathFailure(f"seed rejected: {defect}")
     return seed
 
 
 def cmd_bethe_reproduce(args) -> int:
     seed = _seed_from_args(args)
-    if not is_generic(seed):
-        raise MathFailure(f"seed rejected: {_genericity_diagnosis(seed)}")
     ndirs = len(seed.polys)
     if args.direction is not None and not 1 <= args.direction <= ndirs:
         raise InputError(f"direction must be between 1 and {ndirs}")
@@ -399,8 +392,6 @@ def cmd_bethe_reproduce(args) -> int:
 
 def cmd_bethe_population(args) -> int:
     seed = _seed_from_args(args)
-    if not is_generic(seed):
-        raise MathFailure(f"seed rejected: {_genericity_diagnosis(seed)}")
     pop = population_bfs(seed, depth=args.depth, max_nodes=args.max_nodes)
     origin = {child: (direction, parent) for child, direction, parent in pop.edges}
     nodes = []
@@ -451,13 +442,6 @@ def _parse_triple(text: str):
     return key
 
 
-def _table_expected(vs, key) -> Poly:
-    want = Poly.zero()
-    for (a, b), coeff in WRONSKIAN_TABLE[key]:
-        want = want + vs[a - 1] * vs[b - 1] * coeff
-    return want
-
-
 def cmd_verify_table1(args) -> int:
     corrupt = _parse_triple(args.corrupt) if args.corrupt else None
     space = get_space("deg6")
@@ -466,7 +450,7 @@ def cmd_verify_table1(args) -> int:
     for key in sorted(WRONSKIAN_TABLE):
         i, j, k = key
         got = space.divided_wronskian([vs[i - 1], vs[j - 1], vs[k - 1]])
-        want = _table_expected(vs, key)
+        want = table_quadratic(vs, key)
         if key == corrupt:
             want = want + vs[0] * vs[0]
         if got != want:

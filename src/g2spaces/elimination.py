@@ -214,9 +214,6 @@ class SymPoly:
 
     __rmul__ = __mul__
 
-    def scale_var(self, var_poly: MPoly) -> "SymPoly":
-        return self * var_poly
-
     def derivative(self) -> "SymPoly":
         return SymPoly(self.n, [c * k for k, c in enumerate(self.coeffs)][1:])
 

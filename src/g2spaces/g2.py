@@ -36,9 +36,10 @@ from .spaces import (
     SpaceError,
     WittBasis,
     WittGramError,
-    _witt_pair,
+    _witt_gram_mismatches,
     degree_window_space,
     witt_basis,
+    witt_form,
 )
 from .spin import P_SPINOR, Spinor, clifford_act, hatB
 
@@ -105,6 +106,21 @@ def _perm_sign(seq) -> int:
     return -1 if inv % 2 else 1
 
 
+def _minor_row(triple, keys) -> list[Fraction]:
+    """The 3x3 minors of the triple's coordinate columns at each key (1-based)."""
+    x, y, z = triple
+    row = []
+    for i, j, k in keys:
+        a, b, c = i - 1, j - 1, k - 1
+        minor = (
+            x[a] * (y[b] * z[c] - y[c] * z[b])
+            - x[b] * (y[a] * z[c] - y[c] * z[a])
+            + x[c] * (y[a] * z[b] - y[b] * z[a])
+        )
+        row.append(minor)
+    return row
+
+
 class ThreeForm:
     """Alternating trilinear form on seven coordinates, exact rational values."""
 
@@ -127,16 +143,8 @@ class ThreeForm:
         return sgn * self.entries.get(key, F(0))
 
     def evaluate(self, x, y, z) -> Fraction:
-        out = F(0)
-        for (i, j, k), w in self.entries.items():
-            a, b, c = i - 1, j - 1, k - 1
-            minor = (
-                x[a] * (y[b] * z[c] - y[c] * z[b])
-                - x[b] * (y[a] * z[c] - y[c] * z[a])
-                + x[c] * (y[a] * z[b] - y[b] * z[a])
-            )
-            out += w * minor
-        return out
+        minors = _minor_row((x, y, z), self.entries)
+        return sum((w * m for w, m in zip(self.entries.values(), minors)), F(0))
 
     def matrix2(self, v) -> Mat:
         """The 7x7 alternating matrix of the contraction with v."""
@@ -184,16 +192,6 @@ def three_form_from_spin() -> ThreeForm:
     return ThreeForm(entries)
 
 
-def _bw(x, y) -> Fraction:
-    """Witt-coordinate bilinear form over the rationals, 0-based lists."""
-    out = F(0)
-    for i in range(7):
-        j = 6 - i
-        if x[i] and y[j]:
-            out += x[i] * y[j] * _witt_pair(i + 1, j + 1)
-    return out
-
-
 def _rand_fraction(rng) -> Fraction:
     return F(rng.randint(-5, 5), rng.randint(1, 3))
 
@@ -207,7 +205,8 @@ def random_isotropic_vector(rng) -> list[Fraction] | None:
     if not u[0]:
         return None
     u.append((2 * u[1] * u[5] - 2 * u[2] * u[4] + u[3] * u[3]) / (2 * u[0]))
-    assert _bw(u, u) == 0
+    if witt_form(u, u) != 0:
+        raise SpaceError("sampled vector is not isotropic")
     return u
 
 
@@ -282,20 +281,6 @@ def _symmetry_generators() -> list[list[list[Fraction]]]:
     return [[img(_unit(i)) for i in range(1, 8)] for img in images]
 
 
-def _minor_row(triple, keys) -> list[Fraction]:
-    x, y, z = triple
-    row = []
-    for i, j, k in keys:
-        a, b, c = i - 1, j - 1, k - 1
-        minor = (
-            x[a] * (y[b] * z[c] - y[c] * z[b])
-            - x[b] * (y[a] * z[c] - y[c] * z[a])
-            + x[c] * (y[a] * z[b] - y[b] * z[a])
-        )
-        row.append(minor)
-    return row
-
-
 def three_form_from_wronskians(space: PolySpace | None = None, seed: int = 0) -> ThreeForm:
     """The three-form recovered from divided Wronskians of special 3-spaces.
 
@@ -338,8 +323,8 @@ def three_form_from_wronskians(space: PolySpace | None = None, seed: int = 0) ->
             reduced.append((red, rv))
             rows.append(row)
             rhs.append(value)
-        else:
-            assert rv == 0, "inconsistent equations from special triples"
+        elif rv != 0:
+            raise SpaceError("inconsistent equations from special triples")
 
     for cols in _symmetry_generators():
         for key in keys:
@@ -363,9 +348,11 @@ def three_form_from_wronskians(space: PolySpace | None = None, seed: int = 0) ->
             continue
         feed(_minor_row(triple, keys), lc * B(g, g))
     sol = solve(rows, rhs)
-    assert sol is not None, "inconsistent three-form sampling system"
+    if sol is None:
+        raise SpaceError("inconsistent three-form sampling system")
     coeffs, ker = sol
-    assert not ker, "underdetermined three-form sampling system"
+    if ker:
+        raise SpaceError("underdetermined three-form sampling system")
     return ThreeForm({key: c for key, c in zip(keys, coeffs)})
 
 
@@ -403,13 +390,11 @@ def quadratic_of_phi(n: Mat, vectors) -> Poly:
 
 
 def three_form_of_phi(n: Mat) -> Fraction:
-    """Pairing of the phi image against the Witt Gram: the form's value."""
-    out = F(0)
-    for k in range(7):
-        for l in range(7):
-            if n.rows[k][l]:
-                out += n.rows[k][l] * _witt_pair(k + 1, l + 1)
-    return out
+    """Pairing of the phi image against the Witt Gram: the form's value.
+
+    That is the trace of N times the Gram matrix: the sum over k of the
+    Witt pairing of row k of N with the k-th unit vector."""
+    return sum((witt_form(n.rows[k], _unit(k + 1)) for k in range(7)), F(0))
 
 
 # -- standard basis verification and search --------------------------------
@@ -421,6 +406,14 @@ SMALL_CHECK_KEYS = ((1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 5, 6), (2, 3, 7))
 class StandardBasisReport:
     ok: bool
     failures: list
+
+
+def table_quadratic(vs, key) -> Poly:
+    """The table's quadratic for the triple key, evaluated on the vectors vs."""
+    want = Poly.zero()
+    for (a, b), coeff in WRONSKIAN_TABLE[key]:
+        want = want + vs[a - 1] * vs[b - 1] * coeff
+    return want
 
 
 def verify_standard_basis(space: PolySpace, vectors, keys=None) -> StandardBasisReport:
@@ -442,18 +435,12 @@ def verify_standard_basis(space: PolySpace, vectors, keys=None) -> StandardBasis
     if rank([space.coords(v) for v in vs]) != 7:
         return StandardBasisReport(False, [("dependent", None)])
     B = space.bilinear_form()
-    for i in range(1, 8):
-        for j in range(i, 8):
-            got = B(vs[i - 1], vs[j - 1])
-            want = _witt_pair(i, j)
-            if got != want:
-                failures.append(("pairing", (i, j), got, want))
+    for i, j, got, want in _witt_gram_mismatches(B, vs):
+        failures.append(("pairing", (i, j), got, want))
     for key in keys or sorted(WRONSKIAN_TABLE):
         i, j, k = key
         got = space.divided_wronskian([vs[i - 1], vs[j - 1], vs[k - 1]])
-        want = Poly.zero()
-        for (a, b), coeff in WRONSKIAN_TABLE[key]:
-            want = want + vs[a - 1] * vs[b - 1] * coeff
+        want = table_quadratic(vs, key)
         if got != want:
             failures.append(("table", key, got, want))
     return StandardBasisReport(not failures, failures)
@@ -465,20 +452,6 @@ class StandardBasisResult:
     vectors: tuple | None = None
     method: str = ""
     detail: str = ""
-
-
-def _symbolic_pair(x, y, n: int) -> MPoly:
-    """Witt-coordinate pairing of two symbolic coordinate vectors."""
-    out = MPoly(n, {})
-    for i in range(7):
-        j = 6 - i
-        term = x[i] * y[j]
-        if _witt_pair(i + 1, j + 1) == -1:
-            term = -term
-        elif _witt_pair(i + 1, j + 1) == 0:
-            continue
-        out = out + term
-    return out
 
 
 def _isotropic_ansatz_system(wb: WittBasis, space: PolySpace, coords, nvars: int):
@@ -501,7 +474,7 @@ def _isotropic_ansatz_system(wb: WittBasis, space: PolySpace, coords, nvars: int
     eqs = []
     for i in range(3):
         for j in range(i, 3):
-            eq = _symbolic_pair(coords[i], coords[j], nvars)
+            eq = witt_form(coords[i], coords[j])
             if not eq.is_zero():
                 eqs.append(eq)
     w = sym_wronskian3(*polys)
@@ -509,7 +482,8 @@ def _isotropic_ansatz_system(wb: WittBasis, space: PolySpace, coords, nvars: int
     d4 = wb.vectors[3].degree
     # The leading coefficient is a nonzero constant: the top vectors have
     # fixed leading terms and distinct degrees, so no cancellation occurs.
-    assert wd.coeffs[-1].is_constant(), "symbolic leading coefficient must be constant"
+    if not wd.coeffs[-1].is_constant():
+        raise SpaceError("symbolic leading coefficient must be constant")
     if wd.degree != 2 * d4:
         return "none"
     conds, _ = sym_square_conditions(wd)
@@ -769,7 +743,8 @@ def associated_two_form(form: ThreeForm) -> Mat:
     mat = Mat(b)
     for i in range(7):
         for j in range(i):
-            assert mat.rows[i][j] == mat.rows[j][i], "asymmetric associated form"
+            if mat.rows[i][j] != mat.rows[j][i]:
+                raise SpaceError("asymmetric associated form")
     return mat
 
 
@@ -804,7 +779,7 @@ def flag_is_g2_isotropic(form: ThreeForm, flag: IsotropicFlag) -> bool:
                 return False
     for x in flag.space3:
         for y in flag.space3:
-            if _bw(list(x), list(y)) != 0:
+            if witt_form(x, y) != 0:
                 return False
     ker = kernel_2form(form, flag.line[0])
     if len(ker) != 3:

@@ -77,9 +77,6 @@ class QExt:
             return QExt(x)
         return None
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def conjugate(self) -> "QExt":
         return QExt(self.a, -self.b)
 

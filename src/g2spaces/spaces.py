@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .linalg import Mat, inverse, rref, solve
-from .polynomials import InexactDivisionError, Poly, exact_div, poly_gcd, wronskian
+from .polynomials import InexactDivisionError, Poly, exact_div, poly_gcd_many, wronskian
 
 
 class SpaceError(ValueError):
@@ -56,6 +56,30 @@ def _witt_pair(i: int, j: int) -> Fraction:
     if i + j != 8:
         return Fraction(0)
     return Fraction((-1) ** (i + 1))
+
+
+def witt_form(x, y):
+    """The Witt pairing sum_i (-1)^i x_i y_(6-i) of two coordinate vectors.
+
+    Entries are 0-based Witt coordinates over any ring (Fraction, QExt,
+    MPoly); the value has the entries' type.  On unit vectors it gives
+    ``_witt_pair``.
+    """
+    out = x[0] * y[6]
+    for i in range(1, 7):
+        term = x[i] * y[6 - i]
+        out = out - term if i % 2 else out + term
+    return out
+
+
+def _witt_gram_mismatches(B, vectors):
+    """Yield (i, j, got, want), 1 <= i <= j <= 7, where B misses the Witt pairing."""
+    for i in range(1, 8):
+        for j in range(i, 8):
+            got = B(vectors[i - 1], vectors[j - 1])
+            want = _witt_pair(i, j)
+            if got != want:
+                yield i, j, got, want
 
 
 def witt_scales(m: int, n: int) -> list[Fraction]:
@@ -152,11 +176,7 @@ class PolySpace:
             raise ValueError(f"k must be in 1..{self.dim}, got {k}")
         key = ("U", k)
         if key not in self._cache:
-            g = Poly.zero()
-            for subset in combinations(self.basis, k):
-                g = poly_gcd(g, wronskian(subset))
-                if g == Poly.one():
-                    break
+            g = poly_gcd_many(wronskian(subset) for subset in combinations(self.basis, k))
             if k == 1 and g != Poly.one():
                 raise BasePointError(f"all elements share the factor {g}")
             self._cache[key] = g
@@ -329,15 +349,6 @@ class WittBasis:
             out = out + p * c
         return out
 
-    @staticmethod
-    def pair_coords(x, y) -> Fraction:
-        """Pairing of two coordinate vectors in the exact antidiagonal form."""
-        out = Fraction(0)
-        for i in range(7):
-            j = 6 - i
-            out += x[i] * y[j] * _witt_pair(i + 1, j + 1)
-        return out
-
     def __repr__(self):
         return f"WittBasis(a={self.a}, m={self.m}, n={self.n})"
 
@@ -368,6 +379,8 @@ def witt_basis(space: PolySpace) -> WittBasis:
     WittGramError when the rescaled pairing is not exactly antidiagonal,
     which cannot happen for a space carrying a standard basis.
     """
+    if space.dim != 7:
+        raise DegreePatternError(f"need dimension 7, got {space.dim}")
     B = space.bilinear_form()
     a, m, n = degree_steps(space)
     pool = list(space.basis)
@@ -391,36 +404,13 @@ def witt_basis(space: PolySpace) -> WittBasis:
         high = high - low * (B(high, high) / (2 * t))
         pairs.append((low, high, t))
     mid = reduce_elt(pool.pop())
-    assert not pool
 
     monic = [pairs[0][0], pairs[1][0], pairs[2][0], mid, pairs[2][1], pairs[1][1], pairs[0][1]]
     scales = witt_scales(m, n)
     vectors = [p * s for p, s in zip(monic, scales)]
-    for i in range(7):
-        for j in range(i, 7):
-            got = B(vectors[i], vectors[j])
-            want = _witt_pair(i + 1, j + 1)
-            if got != want:
-                raise WittGramError(
-                    f"pairing of rescaled vectors ({i + 1}, {j + 1}) is {got}, expected {want}"
-                )
+    for i, j, got, want in _witt_gram_mismatches(B, vectors):
+        raise WittGramError(f"pairing of rescaled vectors ({i}, {j}) is {got}, expected {want}")
     return WittBasis(space, vectors, a, m, n)
-
-
-def ramification(space: PolySpace) -> tuple[Poly, ...]:
-    return space.ramification
-
-
-def divided_wronskian(space: PolySpace, polys) -> Poly:
-    return space.divided_wronskian(polys)
-
-
-def check_self_dual(space: PolySpace) -> bool:
-    return space.is_self_dual()
-
-
-def bilinear_form(space: PolySpace) -> BilinearForm:
-    return space.bilinear_form()
 
 
 def monomial_space(m: int, n: int, a: int = 0) -> PolySpace:

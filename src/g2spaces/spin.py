@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .linalg import Mat, inverse, kernel, rank
 from .scalars import HALF_SQRT2, QExt, qext_sqrt
+from .spaces import witt_form
 
 MASKS = [(), (5,), (6,), (7,), (5, 6), (6, 7), (5, 7), (5, 6, 7)]
 _INDEX = {mask: i for i, mask in enumerate(MASKS)}
@@ -198,18 +199,6 @@ def hatB(s: Spinor, t: Spinor) -> QExt:
     )
 
 
-def witt_form(u, v) -> QExt:
-    """The bilinear form on vectors in Witt coordinates."""
-    u, v = list(u), list(v)
-    out = QExt.lift(0)
-    for i in range(7):
-        j = 6 - i
-        c = QExt.lift((-1) ** i)
-        if u[i] and v[j]:
-            out = out + c * u[i] * v[j]
-    return out
-
-
 def witt_quadratic(v) -> QExt:
     """Q(v) = B(v, v) / 2 in Witt coordinates."""
     return witt_form(v, v) / 2
@@ -314,7 +303,8 @@ def preimages(v) -> Preimages:
     lines = [r * P_SPINOR + vp, (-r) * P_SPINOR + vp]
     spaces = [annihilator(s) for s in lines]
     combined = [list(u) for u in spaces[0] + spaces[1]]
-    assert rank(combined) == 6, "preimage spaces do not span the complement"
-    for u in combined:
-        assert witt_form(u, v) == 0, "preimage space not orthogonal to v"
+    if rank(combined) != 6:
+        raise SpinError("preimage spaces do not span the complement")
+    if any(witt_form(u, v) != 0 for u in combined):
+        raise SpinError("preimage space not orthogonal to v")
     return Preimages(kind="split", spaces=spaces, lines=lines)

@@ -13,6 +13,7 @@ from g2spaces.bethe import (
     descendants,
     dominant_representative,
     fertility_solve,
+    genericity_defect,
     is_generic,
     population_bfs,
     reproduction_rhs,
@@ -92,7 +93,16 @@ class TestGenericity:
         assert not is_generic(BetheTuple("G2", [X, X], [ONE, ONE]))
 
     def test_only_adjacent_pairs_matter(self):
-        assert is_generic(BetheTuple("C3", [X, ONE, X], [ONE, ONE, ONE]))
+        t = BetheTuple("C3", [X, ONE, X], [ONE, ONE, ONE])
+        assert is_generic(t) and genericity_defect(t) is None
+
+    def test_defect_names_the_coordinate_with_multiple_roots(self):
+        t = BetheTuple("C3", [X, (X - 1) ** 2, X + 1], [ONE, ONE, ONE])
+        assert genericity_defect(t) == "coordinate 2 has multiple roots"
+
+    def test_defect_names_the_adjacent_pair_sharing_a_root(self):
+        t = BetheTuple("C3", [ONE, X, X * (X + 1)], [ONE, ONE, ONE])
+        assert genericity_defect(t) == "coordinates 2 and 3 share a root"
 
 
 class TestFertility:

@@ -1,6 +1,10 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +78,16 @@ class TestSpaceCommands:
         code, out, err = run(capsys, "space", command, path)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["witt", "standard-basis", "check-ssd", "analyze"])
+    def test_nine_dimensional_space_is_a_failure(self, capsys, tmp_path, command):
+        basis = [[str(int(k == d)) for k in range(d + 1)] for d in range(9)]
+        path = write(tmp_path, "nine.json", {"basis": basis})
+        code, _, err = run(capsys, "space", command, path)
+        assert code == 1
+        assert err == "" or (err.startswith("failure: ") and err.count("\n") == 1)
+        if command in ("witt", "standard-basis"):
+            assert "need dimension 7, got 9" in err
 
     def test_unknown_fixture_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -267,6 +281,17 @@ class TestVerifyCommands:
         code, _, err = run(capsys, "verify", "table1", "--corrupt", "9,9")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("command", ["table1", "threeform"])
+    def test_checks_run_under_optimized_python(self, command):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "g2spaces.cli", "verify", command],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "35/35" in proc.stdout
 
     def test_verify_all_is_green(self, capsys):
         code, out, _ = run(capsys, "verify", "all")

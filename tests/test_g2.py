@@ -24,11 +24,12 @@ from g2spaces import (
     three_form_of_phi,
     verify_standard_basis,
 )
-from g2spaces import linalg
+from g2spaces import g2, linalg
 from g2spaces.fixtures import get_space
 from g2spaces.g2 import _flip, _unit
 from g2spaces.linalg import Mat, rank, same_span
 from g2spaces.spaces import (
+    SpaceError,
     _witt_pair,
     degree_window_space,
     monomial_space,
@@ -91,6 +92,15 @@ class TestWronskianRoute:
 
     def test_different_seed_agrees(self):
         assert three_form_from_wronskians(seed=5) == EXPL
+
+    @pytest.mark.parametrize(
+        "answer, message",
+        [(None, "inconsistent"), (([F(0)] * 35, [[F(1)] * 35]), "underdetermined")],
+    )
+    def test_unsolvable_sampling_system_is_an_error(self, monkeypatch, answer, message):
+        monkeypatch.setattr(g2, "solve", lambda rows, rhs: answer)
+        with pytest.raises(SpaceError, match=message):
+            three_form_from_wronskians(seed=0)
 
 
 class TestPhiMap:

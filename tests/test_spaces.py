@@ -4,23 +4,27 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from g2spaces import spaces
+from g2spaces.elimination import MPoly
 from g2spaces.linalg import Mat, solve
 from g2spaces.polynomials import Poly
+from g2spaces.scalars import QExt
 from g2spaces.spaces import (
     BasePointError,
     DegreePatternError,
     NotSelfDualError,
     PolySpace,
     SpaceError,
+    _witt_pair,
     canonicalize,
     degree_steps,
     degree_window_space,
     monomial_space,
     witt_basis,
+    witt_form,
     witt_scales,
 )
 
@@ -116,6 +120,12 @@ def test_degree_steps():
     assert degree_steps(monomial_space(2, 3)) == (0, 2, 3)
     with pytest.raises(DegreePatternError):
         degree_steps(PolySpace([X**i for i in (0, 1, 2, 3, 4, 5, 7)]))
+
+
+def test_witt_basis_checks_the_dimension_first():
+    nine = PolySpace([X**i for i in range(9)])
+    with pytest.raises(DegreePatternError, match="need dimension 7, got 9"):
+        witt_basis(nine)
 
 
 def test_witt_scales_factorials():
@@ -217,14 +227,35 @@ def test_asymmetric_gram_matrix_is_an_error(monkeypatch):
         monomial_space(1, 3).bilinear_form()
 
 
-def test_pair_coords():
-    from g2spaces.spaces import WittBasis
+def check_witt_form(x, y) -> Fraction:
+    """witt_form agrees over Fraction, QExt and constant MPoly, is symmetric,
+    and matches the Gram entries; returns its value."""
+    value = witt_form(x, y)
+    assert type(value) is Fraction
+    assert value == sum(x[i] * y[j] * _witt_pair(i + 1, j + 1) for i in range(7) for j in range(7))
+    assert witt_form(y, x) == value
+    lifted = witt_form([QExt.lift(c) for c in x], [QExt.lift(c) for c in y])
+    assert type(lifted) is QExt and lifted == QExt.lift(value)
+    symbolic = witt_form([MPoly.const(2, c) for c in x], [MPoly.const(2, c) for c in y])
+    assert type(symbolic) is MPoly and symbolic == MPoly.const(2, value)
+    return value
 
-    x = [F(0)] * 7
-    y = [F(0)] * 7
-    x[0] = F(1)
-    y[6] = F(1)
-    assert WittBasis.pair_coords(x, y) == 1
-    x2 = [F(0)] * 7
-    x2[3] = F(1)
-    assert WittBasis.pair_coords(x2, x2) == -1
+
+def _unit(i):
+    return [F(int(k == i)) for k in range(7)]
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(rationals, min_size=7, max_size=7), st.lists(rationals, min_size=7, max_size=7))
+@example(_unit(0), _unit(6))
+@example(_unit(3), _unit(3))
+def test_witt_form_is_one_pairing_over_every_ring(x, y):
+    check_witt_form(x, y)
+
+
+def test_pair_coords():
+    assert check_witt_form(_unit(0), _unit(6)) == 1
+    assert check_witt_form(_unit(3), _unit(3)) == -1

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from g2spaces import spin
 from g2spaces.linalg import Mat, rank, same_span
 from g2spaces.scalars import HALF_SQRT2, SQRT2, QExt
 from g2spaces.spin import (
@@ -154,6 +155,12 @@ def test_preimages_middle_vector():
     assert res.lines[1] == -Spinor([0, 0, 0, 1, 0, 0, 0, 0])
     assert same_span([list(u) for u in res.spaces[0]], [unit(1), unit(5), unit(6)])
     assert same_span([list(u) for u in res.spaces[1]], [unit(2), unit(3), unit(7)])
+
+
+def test_preimages_that_miss_the_complement_are_an_error(monkeypatch):
+    monkeypatch.setattr(spin, "rank", lambda rows: 5)
+    with pytest.raises(SpinError, match="do not span the complement"):
+        preimages(unit(4))
 
 
 def test_preimages_isotropic_vector():
