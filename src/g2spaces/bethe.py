@@ -137,15 +137,14 @@ def fertility_solve(y: Poly, rhs: Poly) -> FertilityFamily | None:
     dstar = rhs.degree + 1 - y.degree
     if dstar < 0:
         return None
-    yd = y.derivative()
-    images = []
-    for j in range(dstar + 1):
-        xj = Poly.monomial(j)
-        images.append(y * xj.derivative() - yd * xj)
-    nrows = max(max((im.degree for im in images), default=-1), rhs.degree) + 1
-    rows = [[im.coeff(r) for im in images] for r in range(nrows)]
-    target = [rhs.coeff(r) for r in range(nrows)]
-    sol = solve(rows, target)
+    # Column j is W(y, x^j) = sum_k (j - k) y_k x^(k+j-1), of degree at most
+    # deg rhs; row r reads its coefficient at k = r - j + 1.
+    nrows = rhs.degree + 1
+    rows = [
+        [(2 * j - r - 1) * y.coeff(r - j + 1) for j in range(dstar + 1)]
+        for r in range(nrows)
+    ]
+    sol = solve(rows, [rhs.coeff(r) for r in range(nrows)])
     if sol is None:
         return None
     coeffs, _ = sol
@@ -243,10 +242,10 @@ class Population:
 def population_bfs(seed: BetheTuple, depth: int = 6, max_nodes: int = 400) -> Population:
     """Breadth-first reproduction closure from a generic fertile seed.
 
-    Deduplicates on the canonical monic form.  After the budgeted BFS the
-    two alternating direction chains are followed to the given depth with
-    the degree-maximal representative at each step; their members join the
-    population, which keeps spanning behavior independent of the budget.
+    Deduplicates on the canonical monic form; the BFS stops once it holds
+    max_nodes members.  The two alternating direction chains still run to
+    the given depth, taking the degree-maximal child at each step; their
+    members join the population, so its span does not hinge on the budget.
     """
     if not is_generic(seed):
         raise ValueError("population seed must be generic")
@@ -255,7 +254,7 @@ def population_bfs(seed: BetheTuple, depth: int = 6, max_nodes: int = 400) -> Po
     index = {seed.key(): 0}
     edges = []
     frontier = deque([(0, 0)])
-    while frontier:
+    while frontier and len(members) < max_nodes:
         at, d = frontier.popleft()
         if d >= depth:
             continue
@@ -439,5 +438,6 @@ def weyl_dim_g2(m: int, n: int) -> int:
         * (2 * m + 3 * n + 5)
     )
     q, r = divmod(num, 120)
-    assert r == 0
+    if r:
+        raise ValueError(f"weight ({m}, {n}) has no integral Weyl dimension")
     return q

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .polynomials import Poly
+from .polynomials import InexactDivisionError, Poly
 from .scalars import rat, rational_sqrt
 
 
@@ -235,16 +235,14 @@ def sym_exact_div(f: SymPoly, d: Poly) -> SymPoly:
     """Divide by a rational polynomial known to divide at every specialization.
 
     Because the ground field is infinite, specialization-wise divisibility
-    forces the symbolic remainder to vanish identically; this is asserted.
+    forces the symbolic remainder to vanish identically; InexactDivisionError
+    is raised when it does not, as when f is nonzero of lower degree than d.
     """
     n = f.n
     if d.is_zero():
         raise ZeroDivisionError("symbolic division by zero polynomial")
     rem = list(f.coeffs)
     dq = len(rem) - len(d.coeffs)
-    if dq < 0:
-        assert f.is_zero(), "symbolic division leaves a remainder"
-        return SymPoly.zero(n)
     inv_lc = 1 / d.lc
     quo = [MPoly(n, {}) for _ in range(dq + 1)]
     for k in range(dq, -1, -1):
@@ -253,7 +251,8 @@ def sym_exact_div(f: SymPoly, d: Poly) -> SymPoly:
         if not c.is_zero():
             for j, b in enumerate(d.coeffs):
                 rem[k + j] = rem[k + j] - c * b
-    assert all(r.is_zero() for r in rem), "symbolic division leaves a remainder"
+    if not all(r.is_zero() for r in rem):
+        raise InexactDivisionError("symbolic division leaves a remainder")
     return SymPoly(n, quo)
 
 

@@ -408,7 +408,8 @@ def poly_gcd(f, g) -> Poly:
             c = r[k + len(b) - 1]
             if c:
                 q, rr = divmod(c, b[-1])
-                assert rr == 0
+                if rr:
+                    raise InexactDivisionError("inexact pseudo-remainder step in poly_gcd")
                 for j, bc in enumerate(b):
                     r[k + j] -= q * bc
         a, b = b, _iz_primitive(_iz_trim(r))

@@ -3,8 +3,12 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from g2spaces import bethe
 from g2spaces.bethe import (
+    _PARAMS,
     BetheTuple,
     Weight,
     a_tuple,
@@ -23,6 +27,7 @@ from g2spaces.bethe import (
     weight_at_infinity,
     weyl_dim_g2,
 )
+from g2spaces.fixtures import get_seed
 from g2spaces.g2 import check_ssd
 from g2spaces.polynomials import Poly, wronskian
 from g2spaces.spaces import SpaceError, degree_window_space, monomial_space, witt_basis
@@ -135,6 +140,28 @@ class TestFertility:
             fertility_solve(ONE, Poly.zero())
 
 
+small_polys = st.lists(st.integers(-3, 3), min_size=1, max_size=9).map(Poly).filter(
+    lambda p: not p.is_zero()
+)
+
+
+@settings(deadline=None)
+@given(small_polys, small_polys)
+def test_fertility_family_recovers_every_partner(y, q):
+    rhs = wronskian([y, q])
+    assume(not rhs.is_zero())
+    fam = fertility_solve(y, rhs)
+    assert fam is not None
+    assert all(wronskian([y, fam.member(c)]) == rhs for c in _PARAMS)
+    assert fam.kernel == y
+    diff = q - fam.particular
+    assert diff == y * (diff.coeff(y.degree) / y.lc)
+    # The particular solution is the one whose coefficient at deg y, the
+    # free column of the system, is zero.
+    if rhs.degree + 1 >= 2 * y.degree:
+        assert fam.particular.coeff(y.degree) == 0
+
+
 class TestReproductionRhs:
     def test_pair_directions(self):
         t = BetheTuple("G2", [X, X + ONE], [Poly.monomial(2), Poly.constant(1)])
@@ -221,6 +248,29 @@ class TestPopulation:
         shallow = population_bfs(g2_seed(), depth=1)
         with pytest.raises(SpaceError, match="explore deeper"):
             space_from_population(shallow)
+
+    @staticmethod
+    def count_descendants(monkeypatch, depth):
+        calls = []
+        real = bethe.descendants
+
+        def counted(t, i):
+            calls.append(i)
+            return real(t, i)
+
+        monkeypatch.setattr(bethe, "descendants", counted)
+        pop = population_bfs(get_seed("trivial"), depth)
+        return len(calls), len(pop.members)
+
+    def test_search_stops_when_the_budget_is_full(self, monkeypatch):
+        # The budget of 400 fills at depth 6; nodes popped after that
+        # could add nothing, so they are not expanded.
+        calls, size = self.count_descendants(monkeypatch, 6)
+        assert size == 405
+        assert calls <= 150
+
+    def test_search_below_the_budget_expands_every_node(self, monkeypatch):
+        assert self.count_descendants(monkeypatch, 3) == (106, 302)
 
 
 class TestKernelOperator:
@@ -328,3 +378,7 @@ class TestWeights:
         assert weyl_dim_g2(1, 0) == 7
         assert weyl_dim_g2(0, 1) == 14
         assert weyl_dim_g2(2, 0) == 27
+
+    def test_dimension_formula_rejects_a_non_integral_result(self):
+        with pytest.raises(ValueError, match="no integral Weyl dimension"):
+            weyl_dim_g2(F(1, 2), 0)

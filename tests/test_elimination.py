@@ -12,7 +12,7 @@ from g2spaces.elimination import (
     sym_square_conditions,
     sym_wronskian3,
 )
-from g2spaces.polynomials import Poly, wronskian
+from g2spaces.polynomials import InexactDivisionError, Poly, wronskian
 
 F = Fraction
 
@@ -52,6 +52,19 @@ def test_sym_exact_div():
     f = SymPoly.from_poly(n, Poly.monomial(2)) + SymPoly.from_poly(n, Poly.x()) * t
     q = sym_exact_div(f, Poly.x())
     assert q.substitute_all([F(5)]) == Poly([5, 1])
+    assert sym_exact_div(SymPoly.zero(n), Poly.x()).is_zero()
+
+
+def test_sym_exact_div_raises_on_a_remainder():
+    n = 1
+    t = MPoly.var(n, 0)
+    # t x has lower degree than x^2, so it cannot be a multiple of it.
+    with pytest.raises(InexactDivisionError):
+        sym_exact_div(SymPoly.from_poly(n, Poly.x()) * t, Poly.monomial(2))
+    # (x^2 + t) / x leaves the remainder t.
+    f = SymPoly.from_poly(n, Poly.monomial(2)) + SymPoly.from_poly(n, Poly.one()) * t
+    with pytest.raises(InexactDivisionError):
+        sym_exact_div(f, Poly.x())
 
 
 def test_sym_square_conditions():

@@ -47,6 +47,17 @@ CASES.update(
         ],
         "bethe-reproduce-repeated-root": ["bethe", "reproduce", "@repeated-root.json"],
         "bethe-reproduce-shared-root": ["bethe", "reproduce", "@shared-root.json"],
+        "bethe-population-monomial-2-3-depth-6-max-40": [
+            "bethe", "population", "--fixture", "monomial-2-3",
+            "--depth", "6", "--max-nodes", "40", "--json",
+        ],
+        "bethe-population-trivial-depth-8-max-60": [
+            "bethe", "population", "--fixture", "trivial",
+            "--depth", "8", "--max-nodes", "60", "--json",
+        ],
+        "bethe-population-trivial-depth-3": [
+            "bethe", "population", "--fixture", "trivial", "--depth", "3", "--json",
+        ],
     }
 )
 
