@@ -52,6 +52,7 @@ from .spin import (
     invariant_surjection,
     preimages,
     spinor_embed,
+    unit_images,
     witt_quadratic,
 )
 from .g2 import (

@@ -27,6 +27,7 @@ from .fixtures import (
 from .g2 import (
     THREE_FORM_VALUES,
     WRONSKIAN_TABLE,
+    _unit,
     associated_two_form,
     check_ssd,
     kernel_2form,
@@ -49,14 +50,11 @@ from .spin import (
     hatB,
     hatQ,
     spinor_embed,
+    unit_images,
     witt_quadratic,
 )
 
 F = Fraction
-
-
-def _qunit(i: int) -> list[QExt]:
-    return [QExt.lift(int(k == i)) for k in range(1, 8)]
 
 
 def _rand_qext(rng) -> QExt:
@@ -139,8 +137,8 @@ def criterion_5():
         u = [_rand_qext(rng) for _ in range(7)]
         v = [_rand_qext(rng) for _ in range(7)]
         i, j = rng.randint(1, 7), rng.randint(1, 7)
-        ei, ej = _qunit(i), _qunit(j)
-        anti = clifford_act(ei, clifford_act(ej, p)) + clifford_act(ej, clifford_act(ei, p))
+        images = unit_images(p)
+        anti = unit_images(images[j - 1])[i - 1] + unit_images(images[i - 1])[j - 1]
         scale = QExt.lift((-1) ** i if i + j == 8 else 0)
         if anti != p * scale:
             return False, f"Clifford relation fails on a random spinor at ({i},{j})"
@@ -193,10 +191,10 @@ def criterion_6():
 def criterion_7():
     from .spin import preimages
 
-    split = preimages(_qunit(4))
+    split = preimages(_unit(4))
     if split.kind != "split" or len(split.spaces) != 2:
         return False, f"preimages of the middle vector have kind {split.kind}"
-    want = ([_qunit(1), _qunit(5), _qunit(6)], [_qunit(2), _qunit(3), _qunit(7)])
+    want = ([_unit(1), _unit(5), _unit(6)], [_unit(2), _unit(3), _unit(7)])
     matched = (
         same_span(split.spaces[0], want[0]) and same_span(split.spaces[1], want[1])
     ) or (same_span(split.spaces[0], want[1]) and same_span(split.spaces[1], want[0]))
@@ -205,12 +203,12 @@ def criterion_7():
     combined = [list(u) for u in split.spaces[0] + split.spaces[1]]
     if rank(combined) != 6:
         return False, "the two preimages do not span a six-dimensional sum"
-    if any(witt_form(u, _qunit(4)) != 0 for u in combined):
+    if any(witt_form(u, _unit(4)) != 0 for u in combined):
         return False, "the sum is not orthogonal to the target vector"
-    iso = preimages(_qunit(1))
+    iso = preimages(_unit(1))
     if iso.kind != "isotropic" or len(iso.spaces) != 1:
         return False, f"preimages of an isotropic vector have kind {iso.kind}"
-    if not in_span(iso.spaces[0], _qunit(1)):
+    if not in_span(iso.spaces[0], _unit(1)):
         return False, "the unique preimage does not contain its target"
     return True, "split pair sums to the orthogonal complement; isotropic case unique"
 

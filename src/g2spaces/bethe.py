@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import solve
-from .polynomials import Poly, RatFun, apply_log_factor, poly_gcd, wronskian
+from .polynomials import Poly, RatFun, apply_log_factor, poly_gcd
 from .spaces import PolySpace, SpaceError, canonicalize
 
 F = Fraction

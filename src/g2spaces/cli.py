@@ -1,7 +1,8 @@
 """Command line interface: JSON in, JSON or text out, deterministic output.
 
 Exit codes: 0 on full success, 1 when a mathematical check fails or a
-verdict is negative, 2 on malformed input.
+verdict is negative, 2 on malformed input, 3 on an internal error, which
+prints one ``internal error: <Type>: <message>`` line on stderr.
 """
 
 import argparse
@@ -24,6 +25,7 @@ from .fixtures import SEEDS, SPACES, factorial_basis, get_seed, get_space
 from .g2 import (
     THREE_FORM_VALUES,
     WRONSKIAN_TABLE,
+    _unit,
     basis_to_flag,
     check_ssd,
     find_standard_basis,
@@ -107,10 +109,6 @@ def _poly_from_flag(text: str) -> Poly:
         return Poly([F(s.strip()) for s in text.split(",")])
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad coefficient list {text!r}: {exc}") from None
-
-
-def _qext_unit(i: int) -> list[QExt]:
-    return [QExt.lift(int(k == i)) for k in range(1, 8)]
 
 
 # -- space ------------------------------------------------------------------
@@ -226,6 +224,8 @@ def cmd_poly_wronskian(args) -> int:
         obj = obj.get("polys", obj.get("basis"))
     if not isinstance(obj, list) or not obj:
         raise InputError('expected a list of coefficient lists (or {"polys": [...]})')
+    if len(obj) > 8:
+        raise InputError(f"the Wronskian takes at most 8 polynomials, got {len(obj)}")
     try:
         polys = [Poly.from_json(row) for row in obj]
     except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -247,7 +247,7 @@ def cmd_spin_embed(args) -> int:
             raise InputError("expected three coordinate vectors")
         triple = [_parse_vector(row, _parse_qext) for row in obj]
     else:
-        triple = [_qext_unit(1), _qext_unit(2), _qext_unit(3)]
+        triple = [_unit(1), _unit(2), _unit(3)]
     try:
         s = spinor_embed(triple)
     except SpinError as exc:
@@ -262,7 +262,7 @@ def cmd_spin_preimages(args) -> int:
     if args.file:
         v = _parse_vector(_load_json(args.file), _parse_qext)
     else:
-        v = _qext_unit(4)
+        v = _unit(4)
     try:
         pre = preimages(v)
     except ValueError as exc:
@@ -363,7 +363,10 @@ def _seed_from_args(args) -> BetheTuple:
             raise InputError("ramification flags apply to pair seeds only")
         T1 = _poly_from_flag(args.T1) if args.T1 else seed.T[0]
         T2 = _poly_from_flag(args.T2) if args.T2 else seed.T[1]
-        seed = BetheTuple(seed.kind, seed.polys, [T1, T2])
+        try:
+            seed = BetheTuple(seed.kind, seed.polys, [T1, T2])
+        except ValueError as exc:
+            raise InputError(f"bad ramification flags: {exc}") from None
     defect = genericity_defect(seed)
     if defect is not None:
         raise MathFailure(f"seed rejected: {defect}")
@@ -620,6 +623,9 @@ def main(argv=None) -> int:
     except MathFailure as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import truediv
 
-from .polynomials import InexactDivisionError, Poly
+from .polynomials import InexactDivisionError, Poly, convolve, formal_sqrt, long_divide
 from .scalars import rat, rational_sqrt
 
 
@@ -92,6 +93,10 @@ class MPoly:
         return MPoly(self.n, out)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, c):
+        """Division by a nonzero rational scalar."""
+        return self * (1 / rat(c))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -203,14 +208,7 @@ class SymPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, MPoly)):
             return SymPoly(self.n, [c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return SymPoly.zero(self.n)
-        out = [MPoly(self.n, {}) for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-        return SymPoly(self.n, out)
+        return SymPoly(self.n, convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -238,22 +236,12 @@ def sym_exact_div(f: SymPoly, d: Poly) -> SymPoly:
     forces the symbolic remainder to vanish identically; InexactDivisionError
     is raised when it does not, as when f is nonzero of lower degree than d.
     """
-    n = f.n
     if d.is_zero():
         raise ZeroDivisionError("symbolic division by zero polynomial")
-    rem = list(f.coeffs)
-    dq = len(rem) - len(d.coeffs)
-    inv_lc = 1 / d.lc
-    quo = [MPoly(n, {}) for _ in range(dq + 1)]
-    for k in range(dq, -1, -1):
-        c = rem[k + len(d.coeffs) - 1] * inv_lc
-        quo[k] = c
-        if not c.is_zero():
-            for j, b in enumerate(d.coeffs):
-                rem[k + j] = rem[k + j] - c * b
+    quo, rem = long_divide(f.coeffs, d.coeffs, truediv)
     if not all(r.is_zero() for r in rem):
         raise InexactDivisionError("symbolic division leaves a remainder")
-    return SymPoly(n, quo)
+    return SymPoly(f.n, quo)
 
 
 def sym_square_conditions(f: SymPoly) -> tuple[list[MPoly], SymPoly]:
@@ -273,18 +261,8 @@ def sym_square_conditions(f: SymPoly) -> tuple[list[MPoly], SymPoly]:
     if not lc.is_constant():
         raise ValueError("leading coefficient must be constant for the formal root")
     c0 = lc.constant_value()
-    half = deg // 2
-    g = [c * (1 / c0) for c in f.coeffs]
-    root = [MPoly(n, {}) for _ in range(half + 1)]
-    root[half] = MPoly.const(n, 1)
-    for j in range(half - 1, -1, -1):
-        acc = g[half + j]
-        for i in range(j + 1, half):
-            k = half + j - i
-            if j < k <= half:
-                acc = acc - root[i] * root[k]
-        root[j] = acc * Fraction(1, 2)
-    rootp = SymPoly(n, root)
+    g = [c / c0 for c in f.coeffs]
+    rootp = SymPoly(n, formal_sqrt(g, Fraction(1), truediv) + [MPoly.const(n, 1)])
     diff = SymPoly(n, g) - rootp * rootp
     conditions = [c for c in diff.coeffs if not c.is_zero()]
     return conditions, rootp

@@ -11,7 +11,6 @@ certified basis, proof of absence, or honest "undecided".
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +25,7 @@ from .elimination import (
     sym_wronskian3,
 )
 from .linalg import Mat, in_span, kernel, rank, same_span, solve
-from .polynomials import NotASquareError, Poly, perfect_square_root
+from .polynomials import NotASquareError, Poly, _int_clear, perfect_square_root
 from .scalars import rational_part, rational_sqrt
 from .spaces import (
     BasePointError,
@@ -41,7 +40,7 @@ from .spaces import (
     witt_basis,
     witt_form,
 )
-from .spin import P_SPINOR, Spinor, clifford_act, hatB
+from .spin import P_SPINOR, clifford_act, hatB, unit_images
 
 F = Fraction
 H = F(1, 2)
@@ -236,20 +235,6 @@ def _flip(x) -> list[Fraction]:
     return [x[6], x[5], -H * x[4], -x[3], -2 * x[2], x[1], x[0]]
 
 
-def _primitive(x) -> list[Fraction]:
-    """Scale a rational vector to coprime integer entries."""
-    den = 1
-    for c in x:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [c.numerator * (den // c.denominator) for c in x]
-    g = 0
-    for n in ints:
-        g = math.gcd(g, n)
-    if g > 1:
-        ints = [n // g for n in ints]
-    return [F(n) for n in ints]
-
-
 _SEED_TRIPLES = (
     (_unit(1), _unit(5), _unit(6)),
     (_unit(2), _unit(3), _unit(7)),
@@ -272,7 +257,8 @@ def _random_special_triple(rng) -> list[list[Fraction]]:
             c = F(rng.choice((1, -1, 2, -2, 3)), rng.choice((1, 1, 2)))
             shear = _shear_a if kind == 0 else _shear_b
             triple = [shear(x, c) for x in triple]
-    return [_primitive(x) for x in triple]
+    # Scale each vector to coprime integer entries.
+    return [[F(n) for n in _int_clear(x)[0]] for x in triple]
 
 
 def _symmetry_generators() -> list[list[list[Fraction]]]:
@@ -361,7 +347,7 @@ def phi_map(a, b, c) -> Mat:
 
     Returns the 7x7 symmetric rational matrix N with
     m(phi) = sum N_kl v_k v_l over standard basis polynomials."""
-    ps = [clifford_act(_unit(i), P_SPINOR) for i in range(1, 8)]
+    ps = unit_images(P_SPINOR)
 
     def abc(s):
         return clifford_act(a, clifford_act(b, clifford_act(c, s)))
@@ -491,10 +477,6 @@ def _isotropic_ansatz_system(wb: WittBasis, space: PolySpace, coords, nvars: int
     return eqs
 
 
-def _mvar(n, i):
-    return MPoly.var(n, i)
-
-
 def _translated_direct(space: PolySpace) -> StandardBasisResult | None:
     """Direct construction after moving a totally ramified point to zero.
 
@@ -555,37 +537,31 @@ def find_standard_basis(space: PolySpace) -> StandardBasisResult:
 
     # A standard basis can be normalized so that the two isotropic 3-spaces
     # spanned by its vectors at slots (1, 5, 6) and (2, 3, 7) have reduced
-    # echelon bases of exactly the shapes below; each system characterizes
-    # such a 3-space directly, so an empty solution set refutes existence.
-    n1 = 6
-    zero1 = MPoly(n1, {})
-    one1 = MPoly.const(n1, 1)
-    coords1 = (
-        [one1, zero1, zero1, zero1, zero1, zero1, zero1],
-        [zero1, _mvar(n1, 0), _mvar(n1, 1), _mvar(n1, 2), one1, zero1, zero1],
-        [zero1, _mvar(n1, 3), _mvar(n1, 4), _mvar(n1, 5), zero1, one1, zero1],
-    )
-    sys1 = _isotropic_ansatz_system(wb, space, coords1, n1)
-    if sys1 == "none":
-        return StandardBasisResult("none", detail="first 3-space has impossible degree")
-    res1 = solve_rational_system(sys1, n1)
-    if res1.status == "no_solution":
-        return StandardBasisResult("none", detail="first 3-space system has no rational solution")
-
-    n2 = 6
-    zero2 = MPoly(n2, {})
-    one2 = MPoly.const(n2, 1)
-    coords2 = (
-        [_mvar(n2, 0), one2, zero2, zero2, zero2, zero2, zero2],
-        [_mvar(n2, 1), zero2, one2, zero2, zero2, zero2, zero2],
-        [_mvar(n2, 2), zero2, zero2, _mvar(n2, 3), _mvar(n2, 4), _mvar(n2, 5), one2],
-    )
-    sys2 = _isotropic_ansatz_system(wb, space, coords2, n2)
-    if sys2 == "none":
-        return StandardBasisResult("none", detail="second 3-space has impossible degree")
-    res2 = solve_rational_system(sys2, n2)
-    if res2.status == "no_solution":
-        return StandardBasisResult("none", detail="second 3-space system has no rational solution")
+    # echelon bases of exactly the shapes below, with "t" for unknowns
+    # t0..t5 in order; each system characterizes such a 3-space directly,
+    # so an empty solution set refutes existence.
+    nvars = 6
+    atoms = {"0": MPoly(nvars, {}), "1": MPoly.const(nvars, 1)}
+    results = []
+    for which, rows in (
+        ("first", ("1000000", "0ttt100", "0ttt010")),
+        ("second", ("t100000", "t010000", "t00ttt1")),
+    ):
+        unknowns = iter(range(nvars))
+        coords = [
+            [atoms[a] if a in atoms else MPoly.var(nvars, next(unknowns)) for a in row]
+            for row in rows
+        ]
+        system = _isotropic_ansatz_system(wb, space, coords, nvars)
+        if system == "none":
+            return StandardBasisResult("none", detail=f"{which} 3-space has impossible degree")
+        res = solve_rational_system(system, nvars)
+        if res.status == "no_solution":
+            return StandardBasisResult(
+                "none", detail=f"{which} 3-space system has no rational solution"
+            )
+        results.append(res)
+    res1, res2 = results
 
     for sol1 in res1.solutions:
         for sol2 in res2.solutions:

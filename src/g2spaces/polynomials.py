@@ -8,9 +8,9 @@ restoring exact rational results.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from math import gcd as int_gcd
+from operator import truediv
 
 from .scalars import rat, rational_sqrt
 
@@ -135,14 +135,7 @@ class Poly:
         other = Poly._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Poly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
+        return Poly(convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -162,18 +155,7 @@ class Poly:
         other = Poly.lift(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(self.coeffs) - len(other.coeffs)
-        if dq < 0:
-            return Poly.zero(), self
-        quo = [Fraction(0)] * (dq + 1)
-        dlc = other.lc
-        for k in range(dq, -1, -1):
-            c = rem[k + len(other.coeffs) - 1] / dlc
-            quo[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
+        quo, rem = long_divide(self.coeffs, other.coeffs, truediv)
         return Poly(quo), Poly(rem)
 
     def __mod__(self, other):
@@ -251,59 +233,98 @@ class Poly:
         return Poly(obj)
 
 
-# -- integer kernels -------------------------------------------------------
+# -- coefficient kernels ---------------------------------------------------
+#
+# One product, one long division and one formal square root for ascending
+# coefficient sequences over any ring: int, Fraction or MPoly.
 
 
-def _int_clear(f: Poly) -> tuple[list[int], Fraction]:
-    """Integer coefficient list and scale with f = scale * int_poly."""
-    if f.is_zero():
-        return [], Fraction(1)
-    den = 1
-    for c in f.coeffs:
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    ints = [int(c * den) for c in f.coeffs]
-    g = 0
-    for v in ints:
-        g = int_gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    return ints, Fraction(g, den)
-
-def _iz_trim(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-def _iz_mul(f: list[int], g: list[int]) -> list[int]:
+def convolve(f, g) -> list:
+    """Coefficients of the product of f and g; [] when either is empty."""
     if not f or not g:
         return []
-    out = [0] * (len(f) + len(g) - 1)
+    out = [f[0] * 0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
             for j, b in enumerate(g):
                 out[i + j] += a * b
     return out
 
+
+def long_divide(f, g, divide) -> tuple[list, list]:
+    """Quotient and remainder of f by g, whose last coefficient is nonzero.
+
+    divide(c, lc) is the ring's exact division by the leading coefficient
+    of g and may raise; it is never called on a zero coefficient.  The
+    remainder keeps the length of f, with zeros above deg g - 1.
+    """
+    rem = list(f)
+    dq = len(f) - len(g)
+    quo = [None] * (dq + 1)
+    glc = g[-1]
+    for k in range(dq, -1, -1):
+        c = rem[k + len(g) - 1]
+        if c:
+            c = divide(c, glc)
+            for j, b in enumerate(g):
+                rem[k + j] -= c * b
+        quo[k] = c
+    return quo, rem
+
+
+def formal_sqrt(f, top, divide) -> list:
+    """The coefficients below the top of the formal square root of f.
+
+    f has even degree 2h and top is the root's leading coefficient, with
+    top * top == f[-1].  Going down from j = h - 1, coefficient j is
+    (f[h + j] - sum of g[i] * g[h + j - i] over j < i < h) / (2 top),
+    with divide as the ring's exact division.  Only the top h coefficients
+    of f are read; the caller checks the rest by squaring the root.
+    """
+    half = (len(f) - 1) // 2
+    g = [None] * half
+    two_top = 2 * top
+    for j in range(half - 1, -1, -1):
+        acc = f[half + j]
+        for i in range(j + 1, half):
+            acc -= g[i] * g[half + j - i]
+        g[j] = divide(acc, two_top)
+    return g
+
+
+# -- integer kernels -------------------------------------------------------
+
+
+def _int_clear(coeffs) -> tuple[list[int], Fraction]:
+    """Primitive integer list and scale with coeffs = scale * ints."""
+    if not coeffs:
+        return [], Fraction(1)
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // int_gcd(den, c.denominator)
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = _iz_content(ints)
+    return [v // g for v in ints], Fraction(g, den)
+
+def _iz_trim(f: list[int]) -> list[int]:
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
 def _iz_sub(f: list[int], g: list[int]) -> list[int]:
     n = max(len(f), len(g))
     out = [(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)]
     return _iz_trim(out)
 
+def _iz_div(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise InexactDivisionError("inexact division in integer kernel")
+    return q
+
 def _iz_exact_div(f: list[int], g: list[int]) -> list[int]:
     """Exact division in Z[x]; inputs must divide exactly."""
-    if not f:
-        return []
-    rem = list(f)
-    dq = len(f) - len(g)
-    quo = [0] * (dq + 1)
-    glc = g[-1]
-    for k in range(dq, -1, -1):
-        c, r = divmod(rem[k + len(g) - 1], glc)
-        if r:
-            raise InexactDivisionError("inexact division in integer kernel")
-        quo[k] = c
-        if c:
-            for j, b in enumerate(g):
-                rem[k + j] -= c * b
+    quo, rem = long_divide(f, g, _iz_div)
     if any(rem):
         raise InexactDivisionError("inexact division in integer kernel")
     return quo
@@ -344,7 +365,7 @@ def _iz_bareiss_det(m: list[list[list[int]]]) -> list[int]:
                 return []
         for i in range(r + 1, n):
             for j in range(r + 1, n):
-                num = _iz_sub(_iz_mul(a[i][j], a[r][r]), _iz_mul(a[i][r], a[r][j]))
+                num = _iz_sub(convolve(a[i][j], a[r][r]), convolve(a[i][r], a[r][j]))
                 a[i][j] = _iz_exact_div(num, prev) if num else []
             a[i][r] = []
         prev = a[r][r]
@@ -370,7 +391,7 @@ def wronskian(polys) -> Poly:
     scale = Fraction(1)
     ints = []
     for f in polys:
-        iz, s = _int_clear(f)
+        iz, s = _int_clear(f.coeffs)
         if not iz:
             return Poly.zero()
         ints.append(iz)
@@ -393,25 +414,15 @@ def poly_gcd(f, g) -> Poly:
         return g.monic()
     if g.is_zero():
         return f.monic()
-    a, _ = _int_clear(f)
-    b, _ = _int_clear(g)
+    a, _ = _int_clear(f.coeffs)
+    b, _ = _int_clear(g.coeffs)
     if len(a) < len(b):
         a, b = b, a
     while b:
-        # Pseudo-remainder of a by b, kept primitive to control growth.
-        dq = len(a) - len(b)
-        if dq < 0:
-            a, b = b, a
-            continue
-        r = [v * (b[-1] ** (dq + 1)) for v in a]
-        for k in range(dq, -1, -1):
-            c = r[k + len(b) - 1]
-            if c:
-                q, rr = divmod(c, b[-1])
-                if rr:
-                    raise InexactDivisionError("inexact pseudo-remainder step in poly_gcd")
-                for j, bc in enumerate(b):
-                    r[k + j] -= q * bc
+        # Pseudo-remainder of a by b, kept primitive to control growth; each
+        # remainder is shorter than b, so a stays the longer of the two.
+        scale = b[-1] ** (len(a) - len(b) + 1)
+        _, r = long_divide([v * scale for v in a], b, _iz_div)
         a, b = b, _iz_primitive(_iz_trim(r))
     return Poly(a).monic()
 
@@ -451,20 +462,10 @@ def perfect_square_root(f) -> Poly:
     deg = f.degree
     if deg % 2:
         raise NotASquareError(f"degree {deg} is odd")
-    half = deg // 2
     top = rational_sqrt(f.lc)
     if top is None:
         raise NotASquareError(f"leading coefficient {f.lc} is not a rational square")
-    g = [Fraction(0)] * (half + 1)
-    g[half] = top
-    for j in range(half - 1, -1, -1):
-        acc = f.coeff(half + j)
-        for i in range(j + 1, half):
-            k = half + j - i
-            if j < k < len(g):
-                acc -= g[i] * g[k]
-        g[j] = acc / (2 * top)
-    root = Poly(g)
+    root = Poly(formal_sqrt(f.coeffs, top, truediv) + [top])
     rem = f - root * root
     if not rem.is_zero():
         raise NotASquareError(

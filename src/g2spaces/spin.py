@@ -15,7 +15,6 @@ a Witt basis; B(v_i, v_j) = (-1)^(i+1) delta(i+j, 8).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import Mat, inverse, kernel, rank
 from .scalars import HALF_SQRT2, QExt, qext_sqrt
@@ -100,78 +99,80 @@ class Spinor:
         return Spinor([QExt.from_json(c) for c in obj])
 
 
-def _mult_matrix(var: int) -> list[list[QExt]]:
-    """Left exterior multiplication by the generator with the given index."""
-    m = [[QExt.lift(0)] * 8 for _ in range(8)]
-    for j, mask in enumerate(MASKS):
-        if var in mask:
+def _generator(i: int) -> tuple[tuple[int, int, QExt], ...]:
+    """Sparse (row, col, value) entries of the i-th Witt vector's action.
+
+    For i < 4 it is (-1)^i times the left derivative by e_(8-i), for i = 4
+    the parity scaled by 1/sqrt 2, for i > 4 left multiplication by e_i.
+    Moving e_var past the smaller generators of a mask gives the sign of
+    both the derivative and the product.  Each row and column holds at
+    most one entry.
+    """
+    entries = []
+    for col, mask in enumerate(MASKS):
+        if i == 4:
+            entries.append((col, col, HALF_SQRT2 * (-1) ** len(mask)))
             continue
-        smaller = sum(1 for e in mask if e < var)
-        new = tuple(sorted(mask + (var,)))
-        m[_INDEX[new]][j] = QExt.lift((-1) ** smaller)
-    return m
+        var = i if i > 4 else 8 - i
+        if (var in mask) == (i > 4):
+            continue  # the product or the derivative vanishes
+        sign = (-1) ** sum(1 for e in mask if e < var)
+        if i < 4:
+            sign *= (-1) ** i
+        row = _INDEX[tuple(sorted(set(mask) ^ {var}))]
+        entries.append((row, col, QExt.lift(sign)))
+    return tuple(entries)
 
 
-def _deriv_matrix(var: int) -> list[list[QExt]]:
-    """Left derivative with respect to the generator with the given index."""
-    m = [[QExt.lift(0)] * 8 for _ in range(8)]
-    for j, mask in enumerate(MASKS):
-        if var not in mask:
-            continue
-        pos = mask.index(var)
-        new = tuple(e for e in mask if e != var)
-        m[_INDEX[new]][j] = QExt.lift((-1) ** pos)
-    return m
+# The seven Witt generators, the only description of the Clifford action.
+_GENERATORS = tuple(_generator(i) for i in range(1, 8))
+_ZERO = QExt.lift(0)
 
 
-def _scaled(mat, c):
-    return [[e * c for e in row] for row in mat]
+def _witt_coords(v) -> list:
+    v = list(v)
+    if len(v) != 7:
+        raise ValueError(f"vector needs 7 Witt coordinates, got {len(v)}")
+    return v
 
 
-def _parity_matrix() -> list[list[QExt]]:
-    m = [[QExt.lift(0)] * 8 for _ in range(8)]
-    for j, mask in enumerate(MASKS):
-        m[j][j] = QExt.lift((-1) ** len(mask))
-    return m
-
-
-_ACTION = [
-    None,
-    _scaled(_deriv_matrix(7), QExt.lift(-1)),
-    _deriv_matrix(6),
-    _scaled(_deriv_matrix(5), QExt.lift(-1)),
-    _scaled(_parity_matrix(), HALF_SQRT2),
-    _mult_matrix(5),
-    _mult_matrix(6),
-    _mult_matrix(7),
-]
+def _action_rows(v) -> list[list[QExt]]:
+    """The dense 8x8 matrix of the vector with Witt coordinates v."""
+    rows = [[_ZERO] * 8 for _ in range(8)]
+    for c, entries in zip(_witt_coords(v), _GENERATORS):
+        if c:
+            for r, j, value in entries:
+                rows[r][j] = rows[r][j] + c * value
+    return rows
 
 
 def action_matrix(i: int) -> Mat:
     """The 8x8 matrix of the i-th Witt vector acting on spinors, i in 1..7."""
     if not 1 <= i <= 7:
         raise ValueError(f"generator index must be 1..7, got {i}")
-    return Mat(_ACTION[i])
+    return Mat(_action_rows([int(k == i) for k in range(1, 8)]))
 
 
 def clifford_act(v, s: Spinor) -> Spinor:
     """Action of the vector with Witt coordinates v on the spinor s."""
-    v = list(v)
-    if len(v) != 7:
-        raise ValueError(f"vector needs 7 Witt coordinates, got {len(v)}")
-    out = [QExt.lift(0)] * 8
-    for i, c in enumerate(v, start=1):
-        if not c:
-            continue
-        m = _ACTION[i]
-        for r in range(8):
-            row = m[r]
-            acc = out[r]
-            for j in range(8):
-                if row[j] and s.parts[j]:
-                    acc = acc + c * row[j] * s.parts[j]
-            out[r] = acc
+    out = [_ZERO] * 8
+    for c, entries in zip(_witt_coords(v), _GENERATORS):
+        if c:
+            for r, j, value in entries:
+                if s.parts[j]:
+                    out[r] = out[r] + c * value * s.parts[j]
     return Spinor(out)
+
+
+def unit_images(s: Spinor) -> list[Spinor]:
+    """The images of s under the seven Witt vectors, in order."""
+    images = []
+    for entries in _GENERATORS:
+        out = [_ZERO] * 8
+        for r, j, value in entries:
+            out[r] = value * s.parts[j]
+        images.append(Spinor(out))
+    return images
 
 
 # The reference non-isotropic spinor: e56 plus (1/sqrt 2) e7.
@@ -214,19 +215,7 @@ def spinor_embed(triple) -> Spinor:
     triple = [list(u) for u in triple]
     if len(triple) != 3:
         raise ValueError("need exactly three spanning vectors")
-    rows = []
-    for u in triple:
-        acc = [[QExt.lift(0)] * 8 for _ in range(8)]
-        for i, c in enumerate(u, start=1):
-            if not c:
-                continue
-            m = _ACTION[i]
-            for r in range(8):
-                for j in range(8):
-                    if m[r][j]:
-                        acc[r][j] = acc[r][j] + c * m[r][j]
-        rows.extend(acc)
-    ker = kernel(rows)
+    ker = kernel([row for u in triple for row in _action_rows(u)])
     if len(ker) != 1:
         raise SpinError(
             f"joint annihilated space has dimension {len(ker)}, expected 1; "
@@ -244,12 +233,7 @@ def annihilator(s: Spinor) -> list[list[QExt]]:
     Returns three Witt-coordinate vectors; raises SpinError when the
     annihilated space is not three-dimensional (s not a pure spinor).
     """
-    cols = []
-    for i in range(1, 8):
-        e = [QExt.lift(0)] * 7
-        e[i - 1] = QExt.lift(1)
-        cols.append(clifford_act(e, s).parts)
-    mat = Mat.from_cols(cols)
+    mat = Mat.from_cols([t.parts for t in unit_images(s)])
     ker = kernel(mat.rows)
     if len(ker) != 3:
         raise SpinError(
@@ -263,12 +247,7 @@ def invariant_surjection(t: Spinor, p: Spinor = P_SPINOR) -> list[QExt]:
     """Vector part of t in the decomposition t = x0 p + sum_i x_i (v_i p).
 
     Defined for non-isotropic p; returns the seven Witt coordinates."""
-    cols = [list(p.parts)]
-    for i in range(1, 8):
-        e = [QExt.lift(0)] * 7
-        e[i - 1] = QExt.lift(1)
-        cols.append(clifford_act(e, p).parts)
-    m = Mat.from_cols(cols)
+    m = Mat.from_cols([p.parts] + [q.parts for q in unit_images(p)])
     x = inverse(m) * list(t.parts)
     return x[1:]
 

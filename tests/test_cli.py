@@ -108,6 +108,11 @@ class TestPolyWronskian:
         assert code == 0
         assert json.loads(out) == {"wronskian": ["-1"]}
 
+    def test_nine_polynomials_is_input_error(self, capsys, tmp_path):
+        path = write(tmp_path, "polys.json", [["0"] * d + ["1"] for d in range(9)])
+        code, out, err = run(capsys, "poly", "wronskian", path)
+        assert code == 2 and out == ""
+        assert err == "error: the Wronskian takes at most 8 polynomials, got 9\n"
 
     @pytest.mark.parametrize("entry", ["1/0", 1.5])
     def test_malformed_number_is_input_error(self, capsys, tmp_path, entry):
@@ -236,6 +241,13 @@ class TestBetheCommands:
         assert code == 1
         assert "multiple roots" in err
 
+    @pytest.mark.parametrize("command", ["population", "reproduce"])
+    def test_zero_ramification_flag_is_input_error(self, capsys, command):
+        code, out, err = run(capsys, "bethe", command, "--T1", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "ramification data must be nonzero" in err
+
     def test_population_ramification_flags(self, capsys):
         code, out, _ = run(capsys, "bethe", "population", "--T1", "0,1", "--json")
         assert code == 0
@@ -282,16 +294,25 @@ class TestVerifyCommands:
         assert code == 2
         assert "error:" in err
 
-    @pytest.mark.parametrize("command", ["table1", "threeform"])
+    @pytest.mark.parametrize("command", ["table1", "threeform", "all"])
     def test_checks_run_under_optimized_python(self, command):
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "g2spaces.cli", "verify", command],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=180,
         )
         assert proc.returncode == 0, proc.stderr
-        assert "35/35" in proc.stdout
+        assert ("12/12 criteria passed" if command == "all" else "35/35") in proc.stdout
+
+    def test_internal_error_exits_3_with_one_line(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr("g2spaces.cli.cmd_verify_table1", broken)
+        code, out, err = run(capsys, "verify", "table1")
+        assert code == 3 and out == ""
+        assert err == "internal error: RuntimeError: injected\n"
 
     def test_verify_all_is_green(self, capsys):
         code, out, _ = run(capsys, "verify", "all")

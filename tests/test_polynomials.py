@@ -2,17 +2,24 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, zip_longest
+from operator import truediv
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from g2spaces.elimination import MPoly
 from g2spaces.polynomials import (
     InexactDivisionError,
     NotASquareError,
     Poly,
     RatFun,
+    _iz_div,
     apply_log_factor,
+    convolve,
     exact_div,
+    long_divide,
     perfect_square_root,
     poly_gcd,
     poly_gcd_many,
@@ -176,6 +183,57 @@ def test_perfect_square_root():
         perfect_square_root(2 * X**2)
     with pytest.raises(NotASquareError):
         perfect_square_root(X**2 + 1)
+
+
+small_ints = st.integers(-9, 9)
+small_fracs = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+small_mpolys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), small_fracs, max_size=3
+).map(lambda terms: MPoly(2, terms))
+
+# (quotient and remainder coefficients, divisor coefficients, exact division);
+# an MPoly dividend is divided by a rational polynomial, as in sym_exact_div.
+RINGS = {
+    "int": (small_ints, small_ints, _iz_div),
+    "Fraction": (small_fracs, small_fracs, truediv),
+    "MPoly": (small_mpolys, small_fracs, truediv),
+}
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_long_divide_recovers_quotient_and_remainder(ring, data):
+    coeff, divisor_coeff, divide = RINGS[ring]
+    g = data.draw(st.lists(divisor_coeff, min_size=1, max_size=4).filter(lambda g: g[-1]))
+    q = data.draw(st.lists(coeff, max_size=4))
+    r = data.draw(st.lists(coeff, max_size=len(g) - 1))
+    f = [a + b for a, b in zip_longest(convolve(q, g), r, fillvalue=0)]
+    quo, rem = long_divide(f, g, divide)
+    assert _trim(quo) == _trim(q)
+    assert _trim(rem) == _trim(r)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(small_fracs, min_size=2, max_size=6).filter(lambda g: g[-1] > 0),
+    small_fracs.filter(lambda s: s > 0),
+    small_fracs.filter(bool),
+)
+def test_perfect_square_root_recovers_the_root(coeffs, s, k):
+    g = Poly(coeffs)
+    f = g * g * (s * s)
+    assert perfect_square_root(f) * (1 / s) == g
+    # (h - s g)(h + s g) = k has no solution h once deg g >= 1.
+    with pytest.raises(NotASquareError):
+        perfect_square_root(f + k)
 
 
 def test_ratfun_reduction():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2spaces import spin
 from g2spaces.linalg import Mat, rank, same_span
@@ -22,6 +24,7 @@ from g2spaces.spin import (
     invariant_surjection,
     preimages,
     spinor_embed,
+    unit_images,
     witt_form,
     witt_quadratic,
 )
@@ -78,6 +81,29 @@ def test_action_matrix_frozen_entries():
     for j, mask in enumerate(MASKS):
         want = HALF_SQRT2 * ((-1) ** len(mask))
         assert a4.rows[j][j] == want
+
+
+def test_generators_have_at_most_one_entry_per_row_and_column():
+    for entries in spin._GENERATORS:
+        rows = [r for r, _, _ in entries]
+        cols = [c for _, c, _ in entries]
+        assert len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
+
+
+small_qexts = st.builds(
+    QExt,
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(small_qexts, min_size=7, max_size=7), st.lists(small_qexts, min_size=8, max_size=8))
+def test_sparse_action_matches_the_dense_matrices(v, parts):
+    s = Spinor(parts)
+    assert list(clifford_act(v, s)) == Mat(spin._action_rows(v)) * parts
+    for i, image in enumerate(unit_images(s), start=1):
+        assert list(image) == action_matrix(i) * parts
 
 
 def test_hatQ_of_reference_spinor():
