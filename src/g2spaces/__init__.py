@@ -24,6 +24,7 @@ from .polynomials import (
 )
 
 from .linalg import Mat, rref, kernel, solve
+from .elimination import MPoly, SymPoly, solve_rational_system
 from .spaces import (
     BasePointError,
     BilinearForm,

@@ -394,6 +394,10 @@ def cmd_bethe_reproduce(args) -> int:
 
 
 def cmd_bethe_population(args) -> int:
+    if args.depth < 0:
+        raise InputError(f"--depth must be at least 0, got {args.depth}")
+    if args.max_nodes < 1:
+        raise InputError(f"--max-nodes must be at least 1, got {args.max_nodes}")
     seed = _seed_from_args(args)
     pop = population_bfs(seed, depth=args.depth, max_nodes=args.max_nodes)
     origin = {child: (direction, parent) for child, direction, parent in pop.edges}

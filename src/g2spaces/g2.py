@@ -5,8 +5,10 @@ three-Wronskians reproduce the fixed table of quadratic expressions below.
 Spaces carrying a standard basis ("doubly self-dual" here) support the
 invariant three-form, computed two independent ways: through the spinor
 representation and through square roots of divided Wronskians of isotropic
-triples.  The decision pipeline reports one of three sound verdicts:
-certified basis, proof of absence, or honest "undecided".
+triples.  The standard basis is built slot by slot along the degree flag
+of the Witt basis and then certified on all 35 identities.  The decision
+pipeline reports one of three sound verdicts: certified basis, a violated
+necessary condition, or honest "undecided".
 """
 
 from __future__ import annotations
@@ -16,17 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .elimination import (
-    MPoly,
-    SymPoly,
-    solve_rational_system,
-    sym_exact_div,
-    sym_square_conditions,
-    sym_wronskian3,
-)
 from .linalg import Mat, in_span, kernel, rank, same_span, solve
 from .polynomials import NotASquareError, Poly, _int_clear, perfect_square_root
-from .scalars import rational_part, rational_sqrt
+from .scalars import rational_part
 from .spaces import (
     BasePointError,
     DegreePatternError,
@@ -36,6 +30,7 @@ from .spaces import (
     WittBasis,
     WittGramError,
     _witt_gram_mismatches,
+    _witt_pair,
     degree_window_space,
     witt_basis,
     witt_form,
@@ -434,203 +429,61 @@ def verify_standard_basis(space: PolySpace, vectors, keys=None) -> StandardBasis
 
 @dataclass
 class StandardBasisResult:
-    status: str  # "found" | "none" | "undecided"
+    status: str  # "found" (fully certified) | "undecided"
     vectors: tuple | None = None
     method: str = ""
     detail: str = ""
 
 
-def _isotropic_ansatz_system(wb: WittBasis, space: PolySpace, coords, nvars: int):
-    """Equations for an isotropic 3-space ansatz with prescribed echelon shape.
-
-    coords gives three symbolic coordinate vectors over the hyperbolic basis.
-    Returns the equation list, or "none" when the fixed degree of the
-    symbolic divided Wronskian already rules every solution out: a genuine
-    3-space of this shape would need it to be a square of half that degree."""
-    sym_vectors = [SymPoly.from_poly(nvars, p) for p in wb.vectors]
-
-    def assemble(coord):
-        out = SymPoly.zero(nvars)
-        for c, sv in zip(coord, sym_vectors):
-            if not c.is_zero():
-                out = out + sv * c
-        return out
-
-    polys = [assemble(c) for c in coords]
-    eqs = []
-    for i in range(3):
-        for j in range(i, 3):
-            eq = witt_form(coords[i], coords[j])
-            if not eq.is_zero():
-                eqs.append(eq)
-    w = sym_wronskian3(*polys)
-    wd = sym_exact_div(w, space.U(3))
-    d4 = wb.vectors[3].degree
-    # The leading coefficient is a nonzero constant: the top vectors have
-    # fixed leading terms and distinct degrees, so no cancellation occurs.
-    if not wd.coeffs[-1].is_constant():
-        raise SpaceError("symbolic leading coefficient must be constant")
-    if wd.degree != 2 * d4:
-        return "none"
-    conds, _ = sym_square_conditions(wd)
-    eqs.extend(conds)
-    return eqs
-
-
-def _translated_direct(space: PolySpace) -> StandardBasisResult | None:
-    """Direct construction after moving a totally ramified point to zero.
-
-    When every nonconstant ramification divisor is a power of one common
-    (x - r), the space is a translate of one in standard position.  The
-    hyperbolic construction commutes with translation, so building there
-    and translating back preserves certification; the result is verified
-    on the original space regardless."""
-    try:
-        ts = space.ramification
-    except SpaceError:
-        return None
-    root = None
-    for t in ts:
-        e = t.degree
-        if e <= 0:
-            continue
-        r = -t.coeffs[e - 1] / e
-        if root is None:
-            root = r
-        elif root != r:
-            return None
-    if root is None or root == 0:
-        return None
-    for t in ts:
-        if t.degree > 0 and any(t.translate(root).coeffs[:-1]):
-            return None
-    moved = PolySpace([p.translate(root) for p in space.basis])
-    try:
-        wb = witt_basis(moved)
-    except SpaceError:
-        return None
-    if not verify_standard_basis(moved, wb.vectors).ok:
-        return None
-    back = tuple(q.translate(-root) for q in wb.vectors)
-    if verify_standard_basis(space, back).ok:
-        return StandardBasisResult("found", back, method="translated")
-    return None
-
-
 def find_standard_basis(space: PolySpace) -> StandardBasisResult:
-    """Search for a certified standard basis.
+    """Build the standard basis adapted to the degree flag, one slot at a time.
 
-    First tries the rescaled hyperbolic basis directly; otherwise solves the
-    two isotropic-3-space ansatz systems and assembles candidates, checked
-    by full certification.  "none" is returned only from facts that refute
-    every possible standard basis (an impossible degree for the symbolic
-    divided Wronskian, or an exhaustively empty ansatz system); a failed
-    assembly or certification yields "undecided" instead.
+    Slot k is v_k = w_k + sum_{i<k} c_i w_i over the Witt basis w.  Given
+    v_1..v_(k-1), the pairings <v_k, v_j> and the table identities (1, j, k)
+    for j < k are affine in v_k, hence linear in c; one exact solve gives
+    the particular solution, with free unknowns at zero.  A slot whose Witt
+    vector already meets its equations keeps that vector.  The result is
+    "found" only after the full 35-identity certification, with method
+    "direct" when every slot kept its Witt vector and "flag" otherwise.
+    Anything else is "undecided": a free unknown set to zero in one slot
+    refutes nothing.
     """
     wb = witt_basis(space)
-    if verify_standard_basis(space, wb.vectors).ok:
-        return StandardBasisResult("found", wb.vectors, method="direct")
+    w = wb.vectors
+    vs: list[Poly] = []
+    coords: list[list[Fraction]] = []
+    wronskians: dict[tuple[int, int], Poly] = {}
 
-    translated = _translated_direct(space)
-    if translated is not None:
-        return translated
+    def residual(j: int, i: int) -> Poly:
+        """Identity (1, j, k) minus its table side, with w_i in slot k = len(vs) + 1."""
+        if (j, i) not in wronskians:
+            wronskians[j, i] = space.divided_wronskian([vs[0], vs[j - 1], w[i - 1]])
+        return wronskians[j, i] - table_quadratic(vs + [w[i - 1]], (1, j, len(vs) + 1))
 
-    # A standard basis can be normalized so that the two isotropic 3-spaces
-    # spanned by its vectors at slots (1, 5, 6) and (2, 3, 7) have reduced
-    # echelon bases of exactly the shapes below, with "t" for unknowns
-    # t0..t5 in order; each system characterizes such a 3-space directly,
-    # so an empty solution set refutes existence.
-    nvars = 6
-    atoms = {"0": MPoly(nvars, {}), "1": MPoly.const(nvars, 1)}
-    results = []
-    for which, rows in (
-        ("first", ("1000000", "0ttt100", "0ttt010")),
-        ("second", ("t100000", "t010000", "t00ttt1")),
-    ):
-        unknowns = iter(range(nvars))
-        coords = [
-            [atoms[a] if a in atoms else MPoly.var(nvars, next(unknowns)) for a in row]
-            for row in rows
-        ]
-        system = _isotropic_ansatz_system(wb, space, coords, nvars)
-        if system == "none":
-            return StandardBasisResult("none", detail=f"{which} 3-space has impossible degree")
-        res = solve_rational_system(system, nvars)
-        if res.status == "no_solution":
-            return StandardBasisResult(
-                "none", detail=f"{which} 3-space system has no rational solution"
-            )
-        results.append(res)
-    res1, res2 = results
-
-    for sol1 in res1.solutions:
-        for sol2 in res2.solutions:
-            for sign in (1, -1):
-                candidate = _assemble_candidate(space, wb, sol1, sol2, sign)
-                if candidate is None:
-                    continue
-                if verify_standard_basis(space, candidate).ok:
-                    return StandardBasisResult("found", tuple(candidate), method="ansatz")
-    if res1.status == "stuck" or res2.status == "stuck":
-        return StandardBasisResult("undecided", detail="ansatz solver gave up")
-    return StandardBasisResult(
-        "undecided", detail="ansatz solutions found but none passed certification"
-    )
-
-
-def _assemble_candidate(space, wb: WittBasis, sol1, sol2, sign):
-    """Build a candidate standard basis from the two ansatz solutions.
-
-    Slots 1 and 5 are normalized to the primitive and echelon vectors.
-    The middle slot is the square root of the first span's divided
-    Wronskian, scaled so it pairs with itself to -1; slot 6 then follows
-    from the scale identity of that span, and slots 2, 3, 7 are the unique
-    second-span vectors with the required pairings against slots 1, 5, 6."""
-    v = wb.vectors
-    c2, c3, c4, d2, d3, d4 = sol1
-    e1, h1, k1, k4, k5, k6 = sol2
-    u1 = v[0]
-    f12 = v[4] + v[3] * c4 + v[2] * c3 + v[1] * c2
-    f13 = v[5] + v[3] * d4 + v[2] * d3 + v[1] * d2
-    f21 = v[1] + v[0] * e1
-    f22 = v[2] + v[0] * h1
-    f23 = v[6] + v[5] * k6 + v[4] * k5 + v[3] * k4 + v[0] * k1
-
-    r1 = space.divided_wronskian([u1, f12, f13])
-    if r1.is_zero():
-        return None
-    kappa = r1.lc
-    try:
-        m4 = perfect_square_root(r1 * (1 / kappa))
-    except NotASquareError:
-        return None
-    B = space.bilinear_form()
-    try:
-        bm = B(m4, m4)
-    except SpaceError:
-        return None
-    if bm >= 0:
-        return None
-    t4 = rational_sqrt(F(-1) / bm)
-    if t4 is None:
-        return None
-    v4 = m4 * (t4 * sign)
-    v5 = f12
-    v6 = f13 * ((t4 * t4) / (4 * kappa))
-
-    frame = (u1, v5, v6)
-    span2 = (f21, f22, f23)
-    m = [[B(s, f) for s in span2] for f in frame]
-    targets = ((0, 0, -1), (0, 1, 0), (1, 0, 0))
-    filled = []
-    for t in targets:
-        sol = solve(m, [F(x) for x in t])
-        if sol is None or sol[1]:
-            return None
-        coeffs = sol[0]
-        filled.append(span2[0] * coeffs[0] + span2[1] * coeffs[1] + span2[2] * coeffs[2])
-    v2, v3, v7 = filled
-    return [u1, v2, v3, v4, v5, v6, v7]
+    for k in range(1, 8):
+        pairings = [witt_form(_unit(k), coords[j - 1]) - _witt_pair(j, k) for j in range(1, k)]
+        identities = [residual(j, k) for j in range(2, k)]
+        if not any(pairings) and all(r.is_zero() for r in identities):
+            vs.append(w[k - 1])
+            coords.append(_unit(k))
+            continue
+        rows = [[witt_form(_unit(i), coords[j - 1]) for i in range(1, k)] for j in range(1, k)]
+        rhs = [-r for r in pairings]
+        for j, at_wk in zip(range(2, k), identities):
+            offset = table_quadratic(vs + [Poly.zero()], (1, j, k))
+            cols = [residual(j, i) + offset for i in range(1, k)]
+            for d in range(max(len(p.coeffs) for p in cols + [at_wk])):
+                rows.append([p.coeff(d) for p in cols])
+                rhs.append(-at_wk.coeff(d))
+        sol = solve(rows, rhs)
+        if sol is None:
+            return StandardBasisResult("undecided", detail=f"slot {k} equations are inconsistent")
+        coords.append(sol[0] + _unit(k)[k - 1 :])
+        vs.append(wb.element(coords[-1]))
+    if not verify_standard_basis(space, vs).ok:
+        return StandardBasisResult("undecided", detail="flag-adapted basis failed certification")
+    method = "direct" if tuple(vs) == w else "flag"
+    return StandardBasisResult("found", tuple(vs), method=method)
 
 
 # -- self-self-duality pipeline --------------------------------------------
@@ -647,7 +500,8 @@ def check_ssd(space: PolySpace) -> SsdVerdict:
     """Sound three-way decision: certified standard basis, refutation, or open.
 
     "ssd" always carries a fully verified standard basis.  "not_ssd" rests
-    on a violated necessary condition or an exhaustive empty search."""
+    on a violated necessary condition; a flag-adapted construction that
+    fails to certify leaves the space "undecided"."""
     if space.dim != 7:
         return SsdVerdict("not_ssd", f"dimension {space.dim}, need 7")
     try:
@@ -675,8 +529,6 @@ def check_ssd(space: PolySpace) -> SsdVerdict:
         return SsdVerdict("not_ssd", str(exc))
     if result.status == "found":
         return SsdVerdict("ssd", f"standard basis certified ({result.method})", result.vectors)
-    if result.status == "none":
-        return SsdVerdict("not_ssd", result.detail)
     return SsdVerdict("undecided", result.detail)
 
 

@@ -248,6 +248,17 @@ class TestBetheCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "ramification data must be nonzero" in err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--depth", "-1"), ("--depth", "-5"), ("--max-nodes", "0"), ("--max-nodes", "-1"),
+         ("--max-nodes", "-5")],
+    )
+    def test_population_bound_below_range_is_input_error(self, capsys, flag, value):
+        code, out, err = run(capsys, "bethe", "population", flag, value)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag in err
+
     def test_population_ramification_flags(self, capsys):
         code, out, _ = run(capsys, "bethe", "population", "--T1", "0,1", "--json")
         assert code == 0
@@ -294,16 +305,27 @@ class TestVerifyCommands:
         assert code == 2
         assert "error:" in err
 
-    @pytest.mark.parametrize("command", ["table1", "threeform", "all"])
-    def test_checks_run_under_optimized_python(self, command):
+    @pytest.mark.parametrize(
+        "argv, expect",
+        [
+            pytest.param(["verify", "table1"], "35/35", id="table1"),
+            pytest.param(["verify", "threeform"], "35/35", id="threeform"),
+            pytest.param(["verify", "all"], "12/12 criteria passed", id="all"),
+            pytest.param(
+                ["space", "check-ssd", "--fixture", "shifted-2-3"], "verdict: ssd",
+                id="check-ssd-shifted-2-3",
+            ),
+        ],
+    )
+    def test_checks_run_under_optimized_python(self, argv, expect):
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-O", "-m", "g2spaces.cli", "verify", command],
+            [sys.executable, "-O", "-m", "g2spaces.cli", *argv],
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=180,
         )
         assert proc.returncode == 0, proc.stderr
-        assert ("12/12 criteria passed" if command == "all" else "35/35") in proc.stdout
+        assert expect in proc.stdout
 
     def test_internal_error_exits_3_with_one_line(self, capsys, monkeypatch):
         def broken(args):

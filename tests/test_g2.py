@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2spaces import (
     THREE_FORM_VALUES,
@@ -25,10 +27,12 @@ from g2spaces import (
     verify_standard_basis,
 )
 from g2spaces import g2, linalg
+from g2spaces.bethe import BetheTuple, population_bfs, space_from_population
 from g2spaces.fixtures import get_space
 from g2spaces.g2 import _flip, _unit
 from g2spaces.linalg import Mat, rank, same_span
 from g2spaces.spaces import (
+    PolySpace,
     SpaceError,
     _witt_pair,
     degree_window_space,
@@ -190,6 +194,25 @@ class TestCheckSsd:
         verdict = check_ssd(type(base)(shifted))
         assert verdict.verdict == "ssd"
 
+    @pytest.mark.parametrize(
+        "T1, T2",
+        [([0, 1], [-1, 1]), ([-1, 0, 1], [1]), ([1], [-1, 0, 1])],
+        ids=["x|x-1", "x^2-1|1", "1|x^2-1"],
+    )
+    def test_two_point_population_space_certifies(self, T1, T2):
+        seed = BetheTuple("G2", [Poly.one(), Poly.one()], [Poly(T1), Poly(T2)])
+        space = space_from_population(population_bfs(seed, 8, 12))
+        verdict = check_ssd(space)
+        assert verdict.verdict == "ssd"
+        assert verify_standard_basis(space, verdict.basis).ok
+
+    def test_failed_certification_is_undecided(self, monkeypatch):
+        monkeypatch.setattr(
+            g2, "verify_standard_basis", lambda space, vs: g2.StandardBasisReport(False, ["x"])
+        )
+        verdict = check_ssd(monomial_space(1, 3))
+        assert verdict.verdict == "undecided"
+
     def test_wrong_dimension(self):
         sp = type(degree_window_space())([Poly.one(), Poly([F(0), F(1)])])
         verdict = check_ssd(sp)
@@ -217,6 +240,21 @@ class TestFlags:
         y1, y2 = flag_to_pair(space, wb, flag)
         assert y1 == Poly.one()
         assert y2 == Poly.one()
+
+
+@settings(deadline=None, max_examples=12)
+@given(
+    steps=st.sampled_from([(1, 2), (1, 3), (2, 3), (1, 4)]),
+    shift=st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+def test_translate_certifies_with_flag_adapted_basis(steps, shift):
+    space = PolySpace([p.translate(shift) for p in monomial_space(*steps).basis])
+    verdict = check_ssd(space)
+    assert verdict.verdict == "ssd"
+    assert verdict.reason.endswith(("(direct)", "(flag)"))
+    wb = witt_basis(space)
+    for k, v in enumerate(verdict.basis, 1):
+        assert wb.coords(v)[k - 1 :] == [1] + [0] * (7 - k)
 
 
 def test_check_ssd_eliminates_each_system_once(monkeypatch):
