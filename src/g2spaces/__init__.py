@@ -59,13 +59,11 @@ from .spin import (
 from .g2 import (
     THREE_FORM_VALUES,
     WRONSKIAN_TABLE,
-    IsotropicFlag,
     SsdVerdict,
     StandardBasisReport,
     StandardBasisResult,
     ThreeForm,
     associated_two_form,
-    basis_to_flag,
     check_ssd,
     find_standard_basis,
     flag_is_g2_isotropic,
@@ -73,6 +71,7 @@ from .g2 import (
     kernel_2form,
     phi_map,
     quadratic_of_phi,
+    symmetry_image,
     three_form_from_spin,
     three_form_from_wronskians,
     three_form_of_phi,

@@ -27,6 +27,7 @@ from .fixtures import (
 from .g2 import (
     THREE_FORM_VALUES,
     WRONSKIAN_TABLE,
+    _SEED_TRIPLES,
     _unit,
     associated_two_form,
     check_ssd,
@@ -194,7 +195,7 @@ def criterion_7():
     split = preimages(_unit(4))
     if split.kind != "split" or len(split.spaces) != 2:
         return False, f"preimages of the middle vector have kind {split.kind}"
-    want = ([_unit(1), _unit(5), _unit(6)], [_unit(2), _unit(3), _unit(7)])
+    want = _SEED_TRIPLES
     matched = (
         same_span(split.spaces[0], want[0]) and same_span(split.spaces[1], want[1])
     ) or (same_span(split.spaces[0], want[1]) and same_span(split.spaces[1], want[0]))

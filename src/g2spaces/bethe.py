@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .linalg import solve
 from .polynomials import Poly, RatFun, apply_log_factor, poly_gcd
-from .spaces import PolySpace, SpaceError, canonicalize
+from .spaces import PolySpace, SpaceError
 
 F = Fraction
 
@@ -231,13 +231,6 @@ class Population:
     def first_coordinates(self) -> list[Poly]:
         return [m.polys[0] for m in self.members]
 
-    def to_json(self) -> dict:
-        return {
-            "seed": self.seed.to_json(),
-            "members": [m.to_json() for m in self.members],
-            "edges": [list(e) for e in self.edges],
-        }
-
 
 def population_bfs(seed: BetheTuple, depth: int = 6, max_nodes: int = 400) -> Population:
     """Breadth-first reproduction closure from a generic fertile seed.
@@ -333,16 +326,14 @@ def space_from_population(pop: Population) -> PolySpace:
     Raises unless the span is seven-dimensional; every canonical basis
     vector is checked to be annihilated by the operator of the seed.
     """
-    basis = canonicalize(pop.first_coordinates())
-    if len(basis) != 7:
-        raise SpaceError(
-            f"population spans {len(basis)} dimensions; explore deeper"
-        )
+    space = PolySpace(pop.first_coordinates())
+    if space.dim != 7:
+        raise SpaceError(f"population spans {space.dim} dimensions; explore deeper")
     yA, T = a_tuple(pop.seed)
-    for b in basis:
+    for b in space.basis:
         if not apply_D(yA, T, b).is_zero():
             raise SpaceError(f"kernel operator does not annihilate {b}")
-    return PolySpace(basis)
+    return space
 
 
 # -- weights ----------------------------------------------------------------

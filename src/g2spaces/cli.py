@@ -26,7 +26,6 @@ from .g2 import (
     THREE_FORM_VALUES,
     WRONSKIAN_TABLE,
     _unit,
-    basis_to_flag,
     check_ssd,
     find_standard_basis,
     flag_is_g2_isotropic,
@@ -242,7 +241,10 @@ def cmd_spin_embed(args) -> int:
     if args.file:
         obj = _load_json(args.file)
         if isinstance(obj, dict):
-            obj = obj.get("spaces", [obj.get("basis")])[0]
+            spaces = obj.get("spaces", [obj.get("basis")])
+            if not isinstance(spaces, list) or not spaces:
+                raise InputError('expected a non-empty list under "spaces"')
+            obj = spaces[0]
         if not isinstance(obj, list) or len(obj) != 3:
             raise InputError("expected three coordinate vectors")
         triple = [_parse_vector(row, _parse_qext) for row in obj]
@@ -329,16 +331,15 @@ def cmd_g2_flags(args) -> int:
         obj = _load_json(args.file)
         if not isinstance(obj, list) or len(obj) != 3:
             raise InputError("expected three coordinate vectors")
-        coords = [_parse_vector(row, _parse_rational) for row in obj]
+        triple = [_parse_vector(row, _parse_rational) for row in obj]
     else:
-        coords = None
-    flag = basis_to_flag(coords)
-    ok = flag_is_g2_isotropic(form, flag)
+        triple = [_unit(1), _unit(2), _unit(3)]
+    ok = flag_is_g2_isotropic(form, triple)
     payload = {"compatible": ok}
     lines = ["flag is compatible with the form: " + ("yes" if ok else "no")]
     if ok:
         space = get_space("deg6")
-        y1, y2 = flag_to_pair(space, witt_basis(space), flag)
+        y1, y2 = flag_to_pair(space, witt_basis(space), triple)
         payload["pair"] = {"y1": y1.to_json(), "y2": y2.to_json()}
         lines.append(f"attached pair: y1 = {y1}, y2 = {y2}")
     _emit(args, payload, lines)

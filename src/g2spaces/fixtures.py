@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from .bethe import BetheTuple
+from .g2 import _shear_a, _shear_b, symmetry_image
 from .polynomials import Poly
 from .spaces import PolySpace, degree_window_space, monomial_space
 
@@ -22,24 +23,14 @@ def factorial_basis() -> tuple[Poly, ...]:
 
 def transformed_basis_a(basis, c) -> tuple[Poly, ...]:
     """First one-parameter family of bases built on a standard basis."""
-    v1, v2, v3, v4, v5, v6, v7 = basis
     c = F(c)
-    return (
-        v1 + v2 * c,
-        v2,
-        v3 + v4 * (2 * c) + v5 * (2 * c * c),
-        v4 + v5 * (2 * c),
-        v5,
-        v6 + v7 * c,
-        v7,
-    )
+    return symmetry_image(lambda x: _shear_a(x, c), basis)
 
 
 def transformed_basis_b(basis, c) -> tuple[Poly, ...]:
     """Second one-parameter family of bases built on a standard basis."""
-    v1, v2, v3, v4, v5, v6, v7 = basis
     c = F(c)
-    return (v1, v2 + v3 * c, v3, v4, v5 + v6 * c, v6, v7)
+    return symmetry_image(lambda x: _shear_b(x, c), basis)
 
 
 def _shifted_2_3() -> PolySpace:

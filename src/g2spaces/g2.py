@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import Mat, in_span, kernel, rank, same_span, solve
+from .linalg import Mat, kernel, rank, same_span, solve
 from .polynomials import NotASquareError, Poly, _int_clear, perfect_square_root
 from .scalars import rational_part
 from .spaces import (
@@ -160,9 +160,6 @@ class ThreeForm:
     def __repr__(self):
         return f"ThreeForm({self.entries})"
 
-    def items(self):
-        return sorted(self.entries.items())
-
 
 def _unit(i: int) -> list[Fraction]:
     v = [F(0)] * 7
@@ -260,6 +257,15 @@ def _symmetry_generators() -> list[list[list[Fraction]]]:
     """Unit-vector images under the shear families and the flip."""
     images = (lambda x: _shear_a(x, F(1)), lambda x: _shear_b(x, F(1)), _flip)
     return [[img(_unit(i)) for i in range(1, 8)] for img in images]
+
+
+def symmetry_image(g, basis) -> tuple[Poly, ...]:
+    """A map g of Witt coordinates carried onto a basis: slot i becomes
+    sum_j g(e_i)_j v_j.  The shears and the flip send standard bases to
+    standard bases."""
+    return tuple(
+        sum((v * c for c, v in zip(g(_unit(i)), basis) if c), Poly.zero()) for i in range(1, 8)
+    )
 
 
 def three_form_from_wronskians(space: PolySpace | None = None, seed: int = 0) -> ThreeForm:
@@ -380,8 +386,6 @@ def three_form_of_phi(n: Mat) -> Fraction:
 
 # -- standard basis verification and search --------------------------------
 
-SMALL_CHECK_KEYS = ((1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 5, 6), (2, 3, 7))
-
 
 @dataclass
 class StandardBasisReport:
@@ -397,12 +401,11 @@ def table_quadratic(vs, key) -> Poly:
     return want
 
 
-def verify_standard_basis(space: PolySpace, vectors, keys=None) -> StandardBasisReport:
-    """Check the table identities and the antidiagonal pairing for vectors.
+def verify_standard_basis(space: PolySpace, vectors) -> StandardBasisReport:
+    """Check all 35 table identities and the antidiagonal pairing for vectors.
 
-    keys=None checks all 35 table entries (full certification); passing
-    SMALL_CHECK_KEYS gives the quick necessary test.  No degree or ordering
-    assumptions are made about the vectors beyond membership.
+    No degree or ordering assumptions are made about the vectors beyond
+    membership.
     """
     vs = [Poly.lift(v) for v in vectors]
     failures = []
@@ -418,7 +421,7 @@ def verify_standard_basis(space: PolySpace, vectors, keys=None) -> StandardBasis
     B = space.bilinear_form()
     for i, j, got, want in _witt_gram_mismatches(B, vs):
         failures.append(("pairing", (i, j), got, want))
-    for key in keys or sorted(WRONSKIAN_TABLE):
+    for key in sorted(WRONSKIAN_TABLE):
         i, j, k = key
         got = space.divided_wronskian([vs[i - 1], vs[j - 1], vs[k - 1]])
         want = table_quadratic(vs, key)
@@ -576,51 +579,27 @@ def associated_two_form(form: ThreeForm) -> Mat:
     return mat
 
 
-@dataclass
-class IsotropicFlag:
-    """Nested coordinate subspaces of dimensions 1, 2, 3 in a standard frame."""
+def flag_is_g2_isotropic(form: ThreeForm, triple) -> bool:
+    """Whether the coordinate triple spans the 3-space of a G2-isotropic flag.
 
-    line: list
-    plane: list
-    space3: list
-
-
-def basis_to_flag(coords=None) -> IsotropicFlag:
-    """The flag of spans of the first one, two, three given coordinate vectors."""
-    if coords is None:
-        coords = [_unit(1), _unit(2), _unit(3)]
-    return IsotropicFlag(line=coords[:1], plane=coords[:2], space3=coords[:3])
-
-
-def flag_is_g2_isotropic(form: ThreeForm, flag: IsotropicFlag) -> bool:
-    """Nesting, isotropy, and the kernel condition for a coordinate flag.
-
-    The 3-space must both be isotropic for the pairing and coincide with
-    the kernel of the contraction of the form with the line."""
-    if not (len(flag.line), len(flag.plane), len(flag.space3)) == (1, 2, 3):
+    The flag is (line of the first vector, plane of the first two, span of
+    all three).  The span must be three-dimensional, isotropic for the
+    pairing, and equal to the kernel of the contraction of the form with
+    the first vector."""
+    if rank(triple) != 3:
         return False
-    if rank(flag.space3) != 3 or rank(flag.plane) != 2:
+    if any(witt_form(x, y) for x in triple for y in triple):
         return False
-    for smaller, larger in ((flag.line, flag.plane), (flag.plane, flag.space3)):
-        for vec in smaller:
-            if not in_span(larger, vec):
-                return False
-    for x in flag.space3:
-        for y in flag.space3:
-            if witt_form(x, y) != 0:
-                return False
-    ker = kernel_2form(form, flag.line[0])
-    if len(ker) != 3:
-        return False
-    return same_span(ker, [list(v) for v in flag.space3])
+    ker = kernel_2form(form, triple[0])
+    return len(ker) == 3 and same_span(ker, triple)
 
 
-def flag_to_pair(space: PolySpace, wb: WittBasis, flag: IsotropicFlag) -> tuple[Poly, Poly]:
+def flag_to_pair(space: PolySpace, wb: WittBasis, triple) -> tuple[Poly, Poly]:
     """The pair (monic generator of the line, divided Wronskian of the plane).
 
+    The flag is given by the coordinate triple as in flag_is_g2_isotropic.
     Both outputs are monic; they are the tuple coordinates attached to a
     flag of the space in the reproduction picture."""
-    gen = wb.element(flag.line[0])
-    pair = [wb.element(c) for c in flag.plane]
-    y2 = space.divided_wronskian(pair)
+    gen = wb.element(triple[0])
+    y2 = space.divided_wronskian([wb.element(c) for c in triple[:2]])
     return gen.monic(), y2.monic()

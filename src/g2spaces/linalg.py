@@ -213,37 +213,6 @@ def inverse(m) -> Mat:
     return Mat([r[n:] for r in red.rows])
 
 
-def det(m):
-    """Determinant by exact Gaussian elimination."""
-    rows = _as_rows(m)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return Fraction(1)
-    sign = 1
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            return 0 * rows[0][0]
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            sign = -sign
-        pv = rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] / pv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    out = rows[0][0]
-    for i in range(1, n):
-        out = out * rows[i][i]
-    return out if sign == 1 else -out
-
-
 def rank(m) -> int:
     return len(rref(m)[1])
 

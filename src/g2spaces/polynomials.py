@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 from operator import truediv
 
-from .scalars import rat, rational_sqrt
+from .scalars import rat, rational_sqrt, reject_booleans
 
 NEG_INF = float("-inf")
 
@@ -228,8 +228,9 @@ class Poly:
 
     @staticmethod
     def from_json(obj) -> "Poly":
-        """Coefficients as ints or exact strings; the constructor's
-        ``scalars.rat`` rejects floats with TypeError."""
+        """Coefficients as ints or exact strings; booleans are rejected here
+        and floats by the constructor's ``scalars.rat``, both with TypeError."""
+        reject_booleans(obj)
         return Poly(obj)
 
 

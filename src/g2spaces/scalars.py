@@ -22,6 +22,13 @@ def rat(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
+def reject_booleans(values) -> None:
+    """Raise TypeError on a JSON true or false, which Python reads as 1 or 0."""
+    for c in values:
+        if isinstance(c, bool):
+            raise TypeError(f"cannot interpret {c!r} as a rational")
+
+
 def rat_to_str(x: Fraction) -> str:
     """Serialize a rational as 'p/q' (plain 'p' when q == 1)."""
     return str(Fraction(x))
@@ -181,7 +188,11 @@ class QExt:
 
     @staticmethod
     def from_json(obj) -> "QExt":
-        return QExt(Fraction(obj["a"]), Fraction(obj["b"]))
+        """Parts as ints or exact strings; booleans are rejected here and
+        floats by ``rat``, both with TypeError."""
+        parts = obj["a"], obj["b"]
+        reject_booleans(parts)
+        return QExt(*parts)
 
 
 SQRT2 = QExt(0, 1)

@@ -308,9 +308,6 @@ class BilinearForm:
                         out += a * b * self.gram.rows[i][j]
         return out
 
-    def is_isotropic(self, f) -> bool:
-        return self(f, f) == 0
-
 
 class WittBasis:
     """Seven polynomials pairing antidiagonally: <i, 8-i> = (-1)^(i+1).

@@ -179,14 +179,8 @@ def unit_images(s: Spinor) -> list[Spinor]:
 P_SPINOR = Spinor([0, 0, 0, HALF_SQRT2, 1, 0, 0, 0])
 
 
-def hatQ(s: Spinor) -> QExt:
-    """The invariant quadratic form on spinors; pure spinors are its zeros."""
-    c = s.parts
-    return c[0] * c[7] + c[2] * c[6] - c[3] * c[4] - c[5] * c[1]
-
-
 def hatB(s: Spinor, t: Spinor) -> QExt:
-    """The symmetric bilinear form with hatB(s, s) = 2 hatQ(s)."""
+    """The symmetric invariant bilinear form on spinors."""
     a, b = s.parts, t.parts
     return (
         a[0] * b[7]
@@ -198,6 +192,11 @@ def hatB(s: Spinor, t: Spinor) -> QExt:
         - a[5] * b[1]
         - a[1] * b[5]
     )
+
+
+def hatQ(s: Spinor) -> QExt:
+    """hatQ(s) = hatB(s, s) / 2; pure spinors are its zeros."""
+    return hatB(s, s) / 2
 
 
 def witt_quadratic(v) -> QExt:

@@ -72,7 +72,7 @@ class TestSpaceCommands:
         assert "error:" in err
 
     @pytest.mark.parametrize("command", ["check-ssd", "witt", "standard-basis"])
-    @pytest.mark.parametrize("entry", ["1/0", 1.5])
+    @pytest.mark.parametrize("entry", ["1/0", 1.5, True])
     def test_malformed_number_is_input_error(self, capsys, tmp_path, command, entry):
         path = write(tmp_path, "space.json", {"basis": [[entry]]})
         code, out, err = run(capsys, "space", command, path)
@@ -114,7 +114,7 @@ class TestPolyWronskian:
         assert code == 2 and out == ""
         assert err == "error: the Wronskian takes at most 8 polynomials, got 9\n"
 
-    @pytest.mark.parametrize("entry", ["1/0", 1.5])
+    @pytest.mark.parametrize("entry", ["1/0", 1.5, True])
     def test_malformed_number_is_input_error(self, capsys, tmp_path, entry):
         path = write(tmp_path, "polys.json", [["0", "1"], [entry]])
         code, out, err = run(capsys, "poly", "wronskian", path)
@@ -155,6 +155,21 @@ class TestSpinCommands:
         path = write(tmp_path, "space0.json", payload["spaces"][0])
         code, out, _ = run(capsys, "spin", "embed", path)
         assert code == 0
+
+    def test_embed_empty_spaces_is_input_error(self, capsys, tmp_path):
+        path = write(tmp_path, "spaces.json", {"spaces": []})
+        code, out, err = run(capsys, "spin", "embed", path)
+        assert code == 2 and out == ""
+        assert err == 'error: expected a non-empty list under "spaces"\n'
+
+    @pytest.mark.parametrize("command", ["preimages", "embed"])
+    @pytest.mark.parametrize("entry", [True, 0.1])
+    def test_malformed_field_element_is_input_error(self, capsys, tmp_path, command, entry):
+        vector = [{"a": entry, "b": 0}] + unit(2)[1:]
+        obj = vector if command == "preimages" else [vector, unit(2), unit(3)]
+        code, out, err = run(capsys, "spin", command, write(tmp_path, "v.json", obj))
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad field element") and err.count("\n") == 1
 
 
 class TestG2Commands:
@@ -206,7 +221,7 @@ class TestBetheCommands:
         assert code == 2
         assert "error:" in err
 
-    @pytest.mark.parametrize("entry", ["1/0", 1.5])
+    @pytest.mark.parametrize("entry", ["1/0", 1.5, True])
     def test_reproduce_malformed_number_is_input_error(self, capsys, tmp_path, entry):
         seed = {"kind": "G2", "polys": [["1"], ["1"]], "T": [[entry], ["1"]]}
         path = write(tmp_path, "seed.json", seed)
@@ -326,6 +341,8 @@ class TestVerifyCommands:
         )
         assert proc.returncode == 0, proc.stderr
         assert expect in proc.stdout
+        if argv == ["verify", "all"]:
+            assert proc.stdout.count(": PASS") == 12
 
     def test_internal_error_exits_3_with_one_line(self, capsys, monkeypatch):
         def broken(args):
@@ -335,9 +352,3 @@ class TestVerifyCommands:
         code, out, err = run(capsys, "verify", "table1")
         assert code == 3 and out == ""
         assert err == "internal error: RuntimeError: injected\n"
-
-    def test_verify_all_is_green(self, capsys):
-        code, out, _ = run(capsys, "verify", "all")
-        assert code == 0
-        assert "12/12 criteria passed" in out
-        assert out.count(": PASS") == 12

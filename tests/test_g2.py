@@ -13,7 +13,6 @@ from g2spaces import (
     Poly,
     ThreeForm,
     associated_two_form,
-    basis_to_flag,
     check_ssd,
     find_standard_basis,
     flag_is_g2_isotropic,
@@ -28,8 +27,13 @@ from g2spaces import (
 )
 from g2spaces import g2, linalg
 from g2spaces.bethe import BetheTuple, population_bfs, space_from_population
-from g2spaces.fixtures import get_space
-from g2spaces.g2 import _flip, _unit
+from g2spaces.fixtures import (
+    factorial_basis,
+    get_space,
+    transformed_basis_a,
+    transformed_basis_b,
+)
+from g2spaces.g2 import _flip, _unit, symmetry_image
 from g2spaces.linalg import Mat, rank, same_span
 from g2spaces.spaces import (
     PolySpace,
@@ -228,18 +232,51 @@ class TestCheckSsd:
 
 class TestFlags:
     def test_default_flag_is_isotropic(self):
-        flag = basis_to_flag()
-        assert flag_is_g2_isotropic(EXPL, flag)
+        assert flag_is_g2_isotropic(EXPL, [unit(1), unit(2), unit(3)])
 
     def test_bad_flag_rejected(self):
-        flag = basis_to_flag([unit(1), unit(2), unit(4)])
-        assert not flag_is_g2_isotropic(EXPL, flag)
+        assert not flag_is_g2_isotropic(EXPL, [unit(1), unit(2), unit(4)])
+
+    def test_dependent_triple_rejected(self):
+        assert not flag_is_g2_isotropic(EXPL, [unit(1), unit(2), [2 * c for c in unit(1)]])
 
     def test_flag_to_pair_at_base(self, space, wb):
-        flag = basis_to_flag()
-        y1, y2 = flag_to_pair(space, wb, flag)
+        y1, y2 = flag_to_pair(space, wb, [unit(1), unit(2), unit(3)])
         assert y1 == Poly.one()
         assert y2 == Poly.one()
+
+
+def _explicit_basis_a(basis, c):
+    """The first family written out slot by slot, as a reference for the shear."""
+    v1, v2, v3, v4, v5, v6, v7 = basis
+    return (
+        v1 + v2 * c,
+        v2,
+        v3 + v4 * (2 * c) + v5 * (2 * c * c),
+        v4 + v5 * (2 * c),
+        v5,
+        v6 + v7 * c,
+        v7,
+    )
+
+
+def _explicit_basis_b(basis, c):
+    """The second family written out slot by slot, as a reference for the shear."""
+    v1, v2, v3, v4, v5, v6, v7 = basis
+    return (v1, v2 + v3 * c, v3, v4, v5 + v6 * c, v6, v7)
+
+
+class TestSymmetries:
+    def test_flip_image_of_a_standard_basis_is_standard(self, space):
+        image = symmetry_image(_flip, factorial_basis())
+        assert image != factorial_basis()
+        assert verify_standard_basis(space, image).ok
+
+    @pytest.mark.parametrize("c", [F(1), F(-1), F(2), F(1, 2)], ids=str)
+    def test_transformed_bases_match_the_explicit_formulas(self, c):
+        basis = factorial_basis()
+        assert transformed_basis_a(basis, c) == _explicit_basis_a(basis, c)
+        assert transformed_basis_b(basis, c) == _explicit_basis_b(basis, c)
 
 
 @settings(deadline=None, max_examples=12)
