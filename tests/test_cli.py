@@ -320,6 +320,12 @@ class TestVerifyCommands:
         assert code == 2
         assert "error:" in err
 
+    def test_verify_all_is_green(self, capsys):
+        code, out, _ = run(capsys, "verify", "all")
+        assert code == 0
+        assert "12/12 criteria passed" in out
+        assert out.count(": PASS") == 12
+
     @pytest.mark.parametrize(
         "argv, expect",
         [
@@ -341,8 +347,6 @@ class TestVerifyCommands:
         )
         assert proc.returncode == 0, proc.stderr
         assert expect in proc.stdout
-        if argv == ["verify", "all"]:
-            assert proc.stdout.count(": PASS") == 12
 
     def test_internal_error_exits_3_with_one_line(self, capsys, monkeypatch):
         def broken(args):
