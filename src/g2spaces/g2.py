@@ -343,12 +343,16 @@ def three_form_from_wronskians(space: PolySpace | None = None, seed: int = 0) ->
     return ThreeForm({key: c for key, c in zip(keys, coeffs)})
 
 
+# The seven images v_i P of the reference spinor, fixed for every phi_map.
+_P_IMAGES = unit_images(P_SPINOR)
+
+
 def phi_map(a, b, c) -> Mat:
     """Symmetric square image of a wedge of three Witt-coordinate vectors.
 
     Returns the 7x7 symmetric rational matrix N with
     m(phi) = sum N_kl v_k v_l over standard basis polynomials."""
-    ps = unit_images(P_SPINOR)
+    ps = _P_IMAGES
 
     def abc(s):
         return clifford_act(a, clifford_act(b, clifford_act(c, s)))
@@ -356,8 +360,8 @@ def phi_map(a, b, c) -> Mat:
     images = [abc(p) for p in ps]
     r = [[None] * 7 for _ in range(7)]
     for i in range(7):
-        for j in range(7):
-            r[i][j] = H * (hatB(images[i], ps[j]) + hatB(images[j], ps[i]))
+        for j in range(i, 7):
+            r[i][j] = r[j][i] = H * (hatB(images[i], ps[j]) + hatB(images[j], ps[i]))
     n = [[F(0)] * 7 for _ in range(7)]
     for k in range(1, 8):
         for l in range(1, 8):
@@ -367,12 +371,16 @@ def phi_map(a, b, c) -> Mat:
 
 
 def quadratic_of_phi(n: Mat, vectors) -> Poly:
-    """The polynomial sum N_kl v_k v_l for standard basis polynomials v."""
+    """The polynomial sum N_kl v_k v_l for standard basis polynomials v.
+
+    The products commute, so the sum runs over k <= l with the coefficient
+    N_kl + N_lk off the diagonal; that holds for any N, symmetric or not."""
     out = Poly.zero()
     for k in range(7):
-        for l in range(7):
-            if n.rows[k][l]:
-                out = out + vectors[k] * vectors[l] * n.rows[k][l]
+        for l in range(k, 7):
+            c = n.rows[k][l] if k == l else n.rows[k][l] + n.rows[l][k]
+            if c:
+                out = out + vectors[k] * vectors[l] * c
     return out
 
 

@@ -1,9 +1,10 @@
 """Exact dense linear algebra over Q and Q(sqrt 2).
 
 Entries may be Fraction, int, or QExt; any type with field arithmetic and
-truthiness works.  Pivoting is deterministic: columns are scanned left to
-right and the first row with a nonzero entry is chosen, so reduced forms,
-kernels, and solutions are canonical.
+truthiness works, and elimination lifts int entries to Fraction first.
+Pivoting is deterministic: columns are scanned left to right and the first
+row with a nonzero entry is chosen, so reduced forms, kernels, and solutions
+are canonical.
 """
 
 from __future__ import annotations
@@ -91,9 +92,6 @@ class Mat:
     def __repr__(self):
         return "Mat([" + ",\n     ".join(str(r) for r in self.rows) + "])"
 
-    def copy_rows(self) -> list[list]:
-        return [list(r) for r in self.rows]
-
 
 def _dot(r, c):
     it = iter(zip(r, c))
@@ -105,9 +103,10 @@ def _dot(r, c):
 
 
 def _as_rows(m) -> list[list]:
-    if isinstance(m, Mat):
-        return m.copy_rows()
-    return [list(r) for r in m]
+    """A fresh list of row lists, with int entries (not bool) lifted to
+    Fraction so that elimination divides exactly."""
+    rows = m.rows if isinstance(m, Mat) else m
+    return [[Fraction(e) if type(e) is int else e for e in r] for r in rows]
 
 
 def rref(m) -> tuple[Mat, list[int]]:

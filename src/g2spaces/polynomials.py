@@ -228,8 +228,12 @@ class Poly:
 
     @staticmethod
     def from_json(obj) -> "Poly":
-        """Coefficients as ints or exact strings; booleans are rejected here
-        and floats by the constructor's ``scalars.rat``, both with TypeError."""
+        """A list of coefficients as ints or exact strings.  Anything but a
+        list (a string would be read digit by digit) and booleans are
+        rejected here, floats by the constructor's ``scalars.rat``, all with
+        TypeError."""
+        if not isinstance(obj, list):
+            raise TypeError(f"expected a list of coefficients, got {obj!r}")
         reject_booleans(obj)
         return Poly(obj)
 

@@ -1,14 +1,16 @@
 """Exact scalars: arbitrary-precision rationals and the field Q(sqrt 2).
 
 Rationals are ``fractions.Fraction`` (already canonical: reduced, positive
-denominator).  The quadratic extension is the immutable pair ``QExt(a, b)``
-representing a + b*sqrt(2); it never touches floating point.
+denominator).  An element a + b*sqrt(2) of the quadratic extension is a
+``QExt``, stored as one reduced integer triple (p, q, d) meaning
+(p + q*sqrt(2))/d, so its arithmetic builds no Fraction; it never touches
+floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 
 def rat(x) -> Fraction:
@@ -50,88 +52,112 @@ def rational_sqrt(x) -> Fraction | None:
 
 
 class QExt:
-    """An element a + b*sqrt(2) of Q(sqrt 2), with a, b rational.
+    """An element (p + q*sqrt(2))/d of Q(sqrt 2), stored as one reduced
+    integer triple (p, q, d): gcd(p, q, d) == 1 and d > 0.
 
     Immutable.  Arithmetic accepts int and Fraction on either side and
-    lifts them into the field.
+    lifts them straight into a triple, so every operation is integer
+    arithmetic plus one three-way gcd.  ``a`` and ``b`` are the rational
+    parts of a + b*sqrt(2), as Fractions.
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("_t",)
 
     def __init__(self, a=0, b=0):
-        object.__setattr__(self, "a", rat(a) if not isinstance(a, QExt) else a.a)
         if isinstance(a, QExt):
             if b:
                 raise TypeError("QExt(qext, b) with b != 0 is ambiguous")
-            object.__setattr__(self, "b", a.b)
+            t = a._t
         else:
-            object.__setattr__(self, "b", rat(b))
+            a, b = rat(a), rat(b)
+            da, db = a.denominator, b.denominator
+            d = da * db // gcd(da, db)
+            # Both parts are reduced, so the triple over their lcm is too.
+            t = (a.numerator * (d // da), b.numerator * (d // db), d)
+        _setattr(self, "_t", t)
 
     def __setattr__(self, name, value):
         raise AttributeError("QExt is immutable")
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._t[0], self._t[2])
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._t[1], self._t[2])
 
     # -- conversions ------------------------------------------------------
 
     @staticmethod
     def lift(x) -> "QExt":
-        return x if isinstance(x, QExt) else QExt(rat(x))
-
-    @staticmethod
-    def _coerce(x) -> "QExt | None":
         if isinstance(x, QExt):
             return x
-        if isinstance(x, (int, Fraction)):
-            return QExt(x)
-        return None
+        t = _triple(x)
+        return QExt(x) if t is None else _make(t)
 
     def conjugate(self) -> "QExt":
-        return QExt(self.a, -self.b)
+        p, q, d = self._t
+        return _make((p, -q, d))
 
     def norm(self) -> Fraction:
         """Field norm a^2 - 2 b^2 (the product with the conjugate)."""
-        return self.a * self.a - 2 * self.b * self.b
+        p, q, d = self._t
+        return Fraction(p * p - 2 * q * q, d * d)
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        other = QExt._coerce(other)
-        if other is None:
+        t = _triple(other)
+        if t is None:
             return NotImplemented
-        return QExt(self.a + other.a, self.b + other.b)
+        p, q, d = self._t
+        p2, q2, d2 = t
+        if d == d2:
+            return _reduced(p + p2, q + q2, d)
+        return _reduced(p * d2 + p2 * d, q * d2 + q2 * d, d * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QExt(-self.a, -self.b)
+        p, q, d = self._t
+        return _make((-p, -q, d))
 
     def __sub__(self, other):
-        other = QExt._coerce(other)
-        if other is None:
+        t = _triple(other)
+        if t is None:
             return NotImplemented
-        return QExt(self.a - other.a, self.b - other.b)
+        p, q, d = self._t
+        p2, q2, d2 = t
+        if d == d2:
+            return _reduced(p - p2, q - q2, d)
+        return _reduced(p * d2 - p2 * d, q * d2 - q2 * d, d * d2)
 
     def __rsub__(self, other):
-        other = QExt._coerce(other)
-        if other is None:
+        t = _triple(other)
+        if t is None:
             return NotImplemented
-        return other - self
+        return _make(t) - self
 
     def __mul__(self, other):
-        other = QExt._coerce(other)
-        if other is None:
+        t = _triple(other)
+        if t is None:
             return NotImplemented
-        return QExt(
-            self.a * other.a + 2 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
+        p, q, d = self._t
+        p2, q2, d2 = t
+        return _reduced(p * p2 + 2 * q * q2, p * q2 + q * p2, d * d2)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QExt":
-        n = self.norm()
+        # d / (p + q sqrt2) = d (p - q sqrt2) / (p^2 - 2 q^2)
+        p, q, d = self._t
+        n = p * p - 2 * q * q
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt 2)")
-        return QExt(self.a / n, -self.b / n)
+        if n < 0:
+            n, d = -n, -d
+        return _reduced(d * p, -d * q, n)
 
     def __truediv__(self, other):
         return self * QExt.lift(other).inverse()
@@ -142,7 +168,7 @@ class QExt:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = QExt(1)
+        out = _make((1, 0, 1))
         base = self
         while k:
             if k & 1:
@@ -154,32 +180,34 @@ class QExt:
     # -- comparison and hashing ------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QExt(other)
-        if not isinstance(other, QExt):
+        t = _triple(other)
+        if t is None:
             return NotImplemented
-        return self.a == other.a and self.b == other.b
+        return self._t == t
 
     def __bool__(self):
-        return bool(self.a) or bool(self.b)
+        return bool(self._t[0] or self._t[1])
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
+        p, q, d = self._t
+        if q == 0:
+            return hash(p) if d == 1 else hash(Fraction(p, d))
         return hash((self.a, self.b))
 
     def __repr__(self):
-        if self.b == 0:
-            return f"QExt({self.a})"
-        return f"QExt({self.a}, {self.b})"
+        a, b = self.a, self.b
+        if b == 0:
+            return f"QExt({a})"
+        return f"QExt({a}, {b})"
 
     def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        if self.a == 0:
-            return f"{self.b}*sqrt2"
-        sign = "+" if self.b > 0 else "-"
-        return f"{self.a} {sign} {abs(self.b)}*sqrt2"
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        if a == 0:
+            return f"{b}*sqrt2"
+        sign = "+" if b > 0 else "-"
+        return f"{a} {sign} {abs(b)}*sqrt2"
 
     # -- serialization ----------------------------------------------------
 
@@ -195,6 +223,37 @@ class QExt:
         return QExt(*parts)
 
 
+_new = object.__new__
+_setattr = object.__setattr__
+
+
+def _make(t) -> QExt:
+    """The QExt of a triple that is already reduced."""
+    z = _new(QExt)
+    _setattr(z, "_t", t)
+    return z
+
+
+def _reduced(p, q, d) -> QExt:
+    """The QExt (p + q*sqrt(2))/d of integers with d > 0, reduced."""
+    g = gcd(p, q, d)
+    if g != 1:
+        p, q, d = p // g, q // g, d // g
+    return _make((p, q, d))
+
+
+def _triple(x):
+    """The reduced triple of a QExt, int or Fraction, or None for any other
+    type (a float, a string)."""
+    if type(x) is QExt:
+        return x._t
+    if isinstance(x, int):
+        return (int(x), 0, 1)
+    if isinstance(x, Fraction):
+        return (x.numerator, 0, x.denominator)
+    return None
+
+
 SQRT2 = QExt(0, 1)
 HALF_SQRT2 = QExt(0, Fraction(1, 2))  # 1/sqrt(2)
 
@@ -206,9 +265,10 @@ def rational_part(x) -> Fraction:
     point at the culprit.
     """
     if isinstance(x, QExt):
-        if x.b != 0:
+        p, q, d = x._t
+        if q:
             raise ValueError(f"value {x} is not rational (sqrt(2) part {x.b})")
-        return x.a
+        return Fraction(p, d)
     return rat(x)
 
 

@@ -122,6 +122,13 @@ class TestPolyWronskian:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+    def test_string_row_is_input_error(self, capsys, tmp_path):
+        path = write(tmp_path, "polys.json", ["12", "3"])
+        code, out, err = run(capsys, "poly", "wronskian", path)
+        assert code == 2 and out == ""
+        assert err == "error: bad polynomial data: expected a list of coefficients, got '12'\n"
+
+
 class TestSpinCommands:
     def test_embed_default(self, capsys):
         code, out, _ = run(capsys, "spin", "embed")

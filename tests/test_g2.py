@@ -2,6 +2,7 @@
 
 import random
 import sys
+from itertools import combinations
 from fractions import Fraction as F
 
 import pytest
@@ -130,6 +131,29 @@ class TestPhiMap:
             n = phi_map(*coords)
             polys = [wb.element(c) for c in coords]
             assert quadratic_of_phi(n, wb.vectors) == space.divided_wronskian(polys)
+
+
+    def test_phi_map_is_symmetric(self):
+        rng = random.Random(12)
+        for _ in range(3):
+            n = phi_map(*([F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(7)]
+                          for _ in range(3)))
+            assert n == n.transpose()
+
+    def test_unit_triples_give_the_table_values(self):
+        for key in combinations(range(1, 8), 3):
+            n = phi_map(*(unit(i) for i in key))
+            assert three_form_of_phi(n) == THREE_FORM_VALUES.get(key, 0)
+
+    def test_folded_sum_equals_the_full_sum_for_any_n(self, wb):
+        rng = random.Random(13)
+        n = Mat([[F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(7)] for _ in range(7)])
+        assert n != n.transpose()
+        full = Poly.zero()
+        for k in range(7):
+            for l in range(7):
+                full = full + wb.vectors[k] * wb.vectors[l] * n.rows[k][l]
+        assert quadratic_of_phi(n, wb.vectors) == full
 
 
 class TestKernel2Form:

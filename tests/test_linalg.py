@@ -106,6 +106,19 @@ def test_inverse_and_singularity():
         inverse([[1, 2], [2, 4]])
 
 
+def test_int_entries_eliminate_in_fractions():
+    red, pivots = rref([[2, 1], [1, 1]])
+    assert pivots == [0, 1] and red.rows == [[1, 0], [0, 1]]
+    red, _ = rref([[3, 1], [6, 5]])
+    assert red.rows == [[1, 0], [0, 1]]
+    red, _ = rref([[3, 1, 2]])
+    assert red.rows == [[1, F(1, 3), F(2, 3)]]
+    inv = inverse([[3, 0], [1, 7]])
+    assert inv.rows == [[F(1, 3), 0], [F(-1, 21), F(1, 7)]]
+    for m in (red, rref([[2, 1], [1, 1]])[0], inv):
+        assert all(type(e) is Fraction for r in m.rows for e in r)
+
+
 def test_rank_and_span():
     assert rank([[1, 2], [2, 4], [0, 1]]) == 2
     assert in_span([[1, 0, 0], [0, 1, 0]], [3, -2, 0])

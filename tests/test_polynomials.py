@@ -105,6 +105,12 @@ def test_json_roundtrip():
     assert Poly.from_json(f.to_json()) == f
 
 
+@pytest.mark.parametrize("obj", ["12", ("1", "2"), {"1": "2"}, 3])
+def test_from_json_needs_a_list(obj):
+    with pytest.raises(TypeError, match="expected a list of coefficients"):
+        Poly.from_json(obj)
+
+
 def test_wronskian_frozen_values():
     # W(x, x^3) = x * 3x^2 - 1 * x^3 = 2x^3
     assert wronskian([X, X**3]) == 2 * X**3

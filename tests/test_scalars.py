@@ -1,8 +1,11 @@
 """Exact scalar arithmetic in Q and Q(sqrt 2)."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2spaces.scalars import (
     HALF_SQRT2,
@@ -13,6 +16,8 @@ from g2spaces.scalars import (
     rational_part,
     rational_sqrt,
 )
+
+F = Fraction
 
 
 def test_rat_coercion():
@@ -123,3 +128,139 @@ def test_qext_json_roundtrip():
     z = QExt(Fraction(-3, 7), Fraction(5, 2))
     assert QExt.from_json(z.to_json()) == z
     assert z.to_json() == {"a": "-3/7", "b": "5/2"}
+
+
+# -- the integer triple against a reference pair of Fractions ---------------
+
+_parts = st.builds(
+    F, st.integers(min_value=-30, max_value=30), st.integers(min_value=1, max_value=12)
+)
+_pairs = st.tuples(_parts, _parts)
+_rationals = st.one_of(st.integers(min_value=-20, max_value=20), _parts)
+
+
+def _ref_mul(x, y):
+    return (x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_inverse(x):
+    n = x[0] * x[0] - 2 * x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+def _ref_pow(x, k):
+    base = _ref_inverse(x) if k < 0 else x
+    out = (F(1), F(0))
+    for _ in range(abs(k)):
+        out = _ref_mul(out, base)
+    return out
+
+
+def _ref_repr(x):
+    return f"QExt({x[0]})" if x[1] == 0 else f"QExt({x[0]}, {x[1]})"
+
+
+def _ref_str(x):
+    a, b = x
+    if b == 0:
+        return str(a)
+    if a == 0:
+        return f"{b}*sqrt2"
+    return f"{a} {'+' if b > 0 else '-'} {abs(b)}*sqrt2"
+
+
+def _same(z, x):
+    """z holds exactly the pair x, as a reduced triple."""
+    p, q, d = z._t
+    return (
+        (z.a, z.b) == x
+        and type(z.a) is F
+        and type(z.b) is F
+        and d > 0
+        and gcd(p, q, d) == 1
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pairs, _pairs)
+def test_qext_field_operations_match_a_pair_of_fractions(x, y):
+    zx, zy = QExt(*x), QExt(*y)
+    assert _same(zx, x) and _same(zy, y)
+    assert _same(zx + zy, (x[0] + y[0], x[1] + y[1]))
+    assert _same(zx - zy, (x[0] - y[0], x[1] - y[1]))
+    assert _same(-zx, (-x[0], -x[1]))
+    assert _same(zx * zy, _ref_mul(x, y))
+    assert _same(zx.conjugate(), (x[0], -x[1]))
+    norm = zx.norm()
+    assert type(norm) is F and norm == x[0] * x[0] - 2 * x[1] * x[1]
+    if any(y):
+        assert _same(zy.inverse(), _ref_inverse(y))
+        assert _same(zx / zy, _ref_mul(x, _ref_inverse(y)))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            zy.inverse()
+    assert (zx == zy) == (x == y)
+    if x == y:
+        assert hash(zx) == hash(zy)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pairs, _rationals)
+def test_qext_mixes_with_int_and_fraction_on_either_side(x, c):
+    z, r = QExt(*x), (F(c), F(0))
+    assert _same(z + c, (x[0] + c, x[1])) and _same(c + z, (x[0] + c, x[1]))
+    assert _same(z - c, (x[0] - c, x[1])) and _same(c - z, (c - x[0], -x[1]))
+    assert _same(z * c, _ref_mul(x, r)) and _same(c * z, _ref_mul(x, r))
+    if c:
+        assert _same(z / c, _ref_mul(x, _ref_inverse(r)))
+    if any(x):
+        assert _same(c / z, _ref_mul(r, _ref_inverse(x)))
+    lifted = QExt.lift(c)
+    assert _same(lifted, r)
+    assert lifted == c and c == lifted and hash(lifted) == hash(c) == hash(F(c))
+    assert (z == c) == (x == r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pairs, st.integers(min_value=-4, max_value=4))
+def test_qext_powers_match_repeated_products(x, k):
+    z = QExt(*x)
+    if k < 0 and not any(x):
+        with pytest.raises(ZeroDivisionError):
+            z**k
+        return
+    assert _same(z**k, _ref_pow(x, k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pairs)
+def test_qext_text_and_json_match_the_pair(x):
+    z = QExt(*x)
+    assert repr(z) == _ref_repr(x)
+    assert str(z) == _ref_str(x)
+    assert z.to_json() == {"a": str(x[0]), "b": str(x[1])}
+    assert QExt.from_json(z.to_json()) == z
+    assert QExt(z) == z and QExt.lift(z) is z
+    assert bool(z) == any(x)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, float("nan")])
+def test_qext_rejects_float_operands_and_ambiguous_parts(bad):
+    z = QExt(1, 1)
+    for build in (lambda: QExt(bad), lambda: QExt(1, bad), lambda: QExt.lift(bad)):
+        with pytest.raises(TypeError):
+            build()
+    for op in (
+        lambda: z + bad,
+        lambda: bad + z,
+        lambda: z - bad,
+        lambda: bad - z,
+        lambda: z * bad,
+        lambda: bad * z,
+        lambda: z / bad,
+        lambda: bad / z,
+    ):
+        with pytest.raises(TypeError):
+            op()
+    with pytest.raises(TypeError):
+        QExt(z, 1)
