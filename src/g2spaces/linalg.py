@@ -1,15 +1,20 @@
 """Exact dense linear algebra over Q and Q(sqrt 2).
 
 Entries may be Fraction, int, or QExt; any type with field arithmetic and
-truthiness works, and elimination lifts int entries to Fraction first.
-Pivoting is deterministic: columns are scanned left to right and the first
-row with a nonzero entry is chosen, so reduced forms, kernels, and solutions
-are canonical.
+truthiness works.  ``rref``, which every other elimination here goes
+through, eliminates a rational matrix (only int and Fraction entries)
+fraction-free over the integers and divides once at the end; a matrix with
+any other entry, such as QExt, is eliminated over its field, with int
+entries lifted to Fraction.  Either way the results are Fractions (or
+field elements), never floats.  Pivoting is deterministic: columns are
+scanned left to right and the first row with a nonzero entry is chosen, so
+reduced forms, kernels, and solutions are canonical.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class Mat:
@@ -102,26 +107,19 @@ def _dot(r, c):
     return acc
 
 
-def _as_rows(m) -> list[list]:
-    """A fresh list of row lists, with int entries (not bool) lifted to
-    Fraction so that elimination divides exactly."""
-    rows = m.rows if isinstance(m, Mat) else m
-    return [[Fraction(e) if type(e) is int else e for e in r] for r in rows]
+def _rows(m) -> list:
+    """The row lists of a Mat, or m itself; never copied, never mutated."""
+    return m.rows if isinstance(m, Mat) else m
 
 
-def rref(m) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form and the list of pivot columns.
-
-    Pivots are chosen deterministically: first nonzero entry scanning each
-    column top-down, columns left to right.
-    """
-    rows = _as_rows(m)
-    if not rows:
-        return Mat([]), []
-    ncols = len(rows[0])
+def _field_rref(rows) -> tuple[list[list], list[int]]:
+    """Gauss-Jordan over the entries' own field, normalising each pivot row
+    before clearing its column.  Int (and bool) entries are lifted to
+    Fraction first, so that dividing by an int pivot stays exact."""
+    rows = [[Fraction(e) if isinstance(e, int) else e for e in r] for r in rows]
     pivots = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(rows[0])):
         pr = None
         for i in range(r, len(rows)):
             if rows[i][c]:
@@ -140,7 +138,77 @@ def rref(m) -> tuple[Mat, list[int]]:
         r += 1
         if r == len(rows):
             break
-    return Mat(rows), pivots
+    return rows, pivots
+
+
+def _integer_rref(rows) -> tuple[list[list], list[int]]:
+    """Fraction-free Gauss-Jordan (Bareiss) on rows of ints and Fractions.
+
+    Each row is scaled to primitive integers, which leaves its span alone.
+    Step k with pivot p replaces each row R by (p * R - a * pivot_row) //
+    prev, where a is R's entry in the pivot column and prev the previous
+    pivot; the division is exact, since every entry is then a minor of the
+    integer matrix (Bareiss 1968).  A row with a = 0 would only be scaled
+    by p / prev, so it is left as stored, X, together with the pivot s in
+    force when it was last updated: its true value is X * prev / s, and
+    the update (p * R - a * pivot_row) // prev becomes (p * X - a *
+    pivot_row) // s.  At the end every pivot entry equals the last pivot
+    d, so the reduced form is X * d / s / d = X / s, row by row.
+    """
+    ints = []
+    for row in rows:
+        den = lcm(*(e.denominator for e in row))
+        row = [e.numerator * (den // e.denominator) for e in row]
+        g = gcd(*row)
+        ints.append([e // g for e in row] if g > 1 else row)
+    nrows = len(ints)
+    stamps = [1] * nrows
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(len(ints[0])):
+        pr = None
+        for i in range(r, nrows):
+            if ints[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        ints[r], ints[pr] = ints[pr], ints[r]
+        stamps[r], stamps[pr] = stamps[pr], stamps[r]
+        top, s = ints[r], stamps[r]
+        if s != prev:
+            top = ints[r] = [x * prev // s for x in top]
+        p = stamps[r] = top[c]
+        for i in range(nrows):
+            a = ints[i][c]
+            if a and i != r:
+                s = stamps[i]
+                ints[i] = [(p * x - a * y) // s for x, y in zip(ints[i], top)]
+                stamps[i] = p
+        prev = p
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return [[Fraction(x, s) for x in row] for row, s in zip(ints, stamps)], pivots
+
+
+def rref(m) -> tuple[Mat, list[int]]:
+    """Reduced row echelon form and the list of pivot columns.
+
+    Pivots are chosen deterministically: first nonzero entry scanning each
+    column top-down, columns left to right.  Rows of ints and Fractions are
+    eliminated over the integers; any other entry type over its field.
+    """
+    rows = _rows(m)
+    if not rows:
+        return Mat([]), []
+    if all(isinstance(e, (int, Fraction)) for r in rows for e in r):
+        red, pivots = _integer_rref(rows)
+    else:
+        red, pivots = _field_rref(rows)
+    return Mat(red), pivots
 
 
 def _kernel_basis(red: Mat, pivots: list[int], ncols: int) -> list[list]:
@@ -169,7 +237,7 @@ def kernel(m) -> list[list]:
     Each vector has 1 in its free column and the negated reduced entries in
     the pivot columns; vectors are ordered by free column.
     """
-    rows = _as_rows(m)
+    rows = _rows(m)
     if not rows:
         return []
     return _kernel_basis(*rref(rows), len(rows[0]))
@@ -182,14 +250,14 @@ def solve(m, rhs) -> tuple[list, list[list]] | None:
     elimination of [m | rhs] gives both parts; the kernel basis is the one
     ``kernel(m)`` returns.
     """
-    rows = _as_rows(m)
+    rows = _rows(m)
     rhs = list(rhs)
     if not rows:
         return ([], []) if not rhs else None
     if len(rhs) != len(rows):
         raise ValueError(f"right-hand side has {len(rhs)} entries for {len(rows)} rows")
     ncols = len(rows[0])
-    aug = [row + [b] for row, b in zip(rows, rhs)]
+    aug = [[*row, b] for row, b in zip(rows, rhs)]
     red, pivots = rref(aug)
     if pivots and pivots[-1] == ncols:
         return None
@@ -201,11 +269,11 @@ def solve(m, rhs) -> tuple[list, list[list]] | None:
 
 def inverse(m) -> Mat:
     """Inverse of a square matrix, raising ValueError when singular."""
-    rows = _as_rows(m)
+    rows = _rows(m)
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("inverse of a non-square matrix")
-    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    aug = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")

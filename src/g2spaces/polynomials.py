@@ -28,7 +28,7 @@ class NotASquareError(ValueError):
 class Poly:
     """A univariate polynomial over Q, stored densely in ascending degree."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs=()):
         cs = [rat(c) for c in coeffs]
@@ -172,7 +172,14 @@ class Poly:
         return bool(self.coeffs)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # Computed on first use: hashing the Fraction coefficients is costly
+        # and a Poly is often hashed many times as a set member or memo key.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self.coeffs)
+            object.__setattr__(self, "_hash", h)
+            return h
 
     # -- calculus and evaluation -----------------------------------------
 

@@ -29,7 +29,7 @@ from g2spaces.bethe import (
 )
 from g2spaces.fixtures import get_seed
 from g2spaces.g2 import check_ssd
-from g2spaces.polynomials import Poly, wronskian
+from g2spaces.polynomials import Poly, exact_div, wronskian
 from g2spaces.spaces import SpaceError, degree_window_space, monomial_space, witt_basis
 
 ONE = Poly.one()
@@ -159,6 +159,49 @@ def test_fertility_family_recovers_every_partner(y, q):
     # The particular solution is the one whose coefficient at deg y, the
     # free column of the system, is zero.
     if rhs.degree + 1 >= 2 * y.degree:
+        assert fam.particular.coeff(y.degree) == 0
+
+
+@st.composite
+def fertility_problems(draw):
+    """A generic y, c (x - a_1)...(x - a_n) with distinct rational roots, and
+    a nonzero right-hand side: W(y, q) for a random q, or a random poly."""
+    roots = draw(st.lists(st.fractions(-4, 4, max_denominator=3), max_size=4, unique=True))
+    c = draw(st.sampled_from([F(1), F(-2), F(3, 5)]))
+    y = Poly.constant(c)
+    for a in roots:
+        y = y * Poly([-a, 1])
+    if draw(st.booleans()):
+        rhs = wronskian([y, draw(small_polys)])
+    else:
+        rhs = draw(small_polys)
+    assume(not rhs.is_zero())
+    return y, roots, rhs
+
+
+def has_polynomial_partner(y, roots, rhs):
+    """Whether W(y, q) = rhs has a polynomial solution q, decided apart from
+    any linear system: W(y, q) = y^2 (q / y)', so a solution exists exactly
+    when rhs / y^2 has a rational antiderivative, that is when its residue
+    at every root a of y vanishes.  With y = (x - a) u that residue is
+    (rhs / u^2)'(a), whose numerator is rhs'(a) u(a) - 2 rhs(a) u'(a)."""
+    for a in roots:
+        u = exact_div(y, Poly([-a, 1]))
+        if rhs.derivative()(a) * u(a) - 2 * rhs(a) * u.derivative()(a) != 0:
+            return False
+    return True
+
+
+@settings(deadline=None, max_examples=200)
+@given(fertility_problems())
+def test_fertility_solve_contract(problem):
+    y, roots, rhs = problem
+    fam = fertility_solve(y, rhs)
+    assert (fam is not None) == has_polynomial_partner(y, roots, rhs)
+    if fam is None:
+        return
+    assert wronskian([y, fam.particular]) == rhs
+    if rhs.degree + 1 - y.degree >= y.degree:
         assert fam.particular.coeff(y.degree) == 0
 
 

@@ -96,6 +96,116 @@ def test_solve_kernel_is_kernel_of_matrix(system):
     assert ker == kernel(m)
 
 
+def reference_rref(m):
+    """Textbook Gauss-Jordan over Fraction: normalise the pivot row, then
+    clear its column; pivots are the first nonzero entry of each column,
+    scanned top-down, columns left to right."""
+    rows = [[F(e) for e in r] for r in m]
+    pivots, r = [], 0
+    for c in range(len(rows[0]) if rows else 0):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [e / rows[r][c] for e in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+@st.composite
+def rational_matrices(draw):
+    """Tall, wide or square rational matrices of any rank, some with a zero
+    row or a zero column, with entries from small ints to large fractions.
+
+    The matrix is a product through an inner dimension that may be below
+    both sides, then each row is scaled by its own rational factor.
+    """
+    def ratios(num, den):
+        return st.builds(F, num, st.integers(1, den))
+
+    entry = st.one_of(st.integers(-3, 3).map(F), ratios(st.integers(-40, 40), 12),
+                      ratios(st.integers(-10**30, 10**30), 10**20))
+    nonzero = st.one_of(ratios(st.integers(1, 40), 12), ratios(st.integers(-40, -1), 12))
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    inner = draw(st.integers(0, min(nrows, ncols)))
+    left = [[draw(entry) for _ in range(inner)] for _ in range(nrows)]
+    right = [[draw(entry) for _ in range(ncols)] for _ in range(inner)]
+    m = [[sum((left[i][k] * right[k][j] for k in range(inner)), F(0)) for j in range(ncols)]
+         for i in range(nrows)]
+    scale = [draw(nonzero) for _ in range(nrows)]
+    m = [[e * s for e in row] for row, s in zip(m, scale)]
+    if draw(st.booleans()):
+        # Sparse: a zero in a later pivot column leaves a row untouched by
+        # that step of the elimination.
+        m = [[e if draw(st.booleans()) else F(0) for e in row] for row in m]
+    if draw(st.booleans()):
+        m[draw(st.integers(0, nrows - 1))] = [F(0)] * ncols
+    if draw(st.booleans()):
+        j = draw(st.integers(0, ncols - 1))
+        for row in m:
+            row[j] = F(0)
+    # Entries that are whole numbers come as int or as Fraction.
+    return [[int(e) if e.denominator == 1 and draw(st.booleans()) else e for e in row]
+            for row in m]
+
+
+@settings(deadline=None, max_examples=300)
+@given(rational_matrices())
+def test_rref_matches_the_reference(m):
+    before = [list(row) for row in m]
+    red, pivots = rref(m)
+    want, want_pivots = reference_rref(m)
+    assert pivots == want_pivots
+    assert red.rows == want
+    assert all(type(e) is Fraction for row in red.rows for e in row)
+    assert m == before and all(type(a) is type(b) for r, s in zip(m, before) for a, b in zip(r, s))
+    assert rank(m) == len(want_pivots)
+
+
+@settings(deadline=None)
+@given(rational_matrices())
+def test_field_elimination_agrees_on_rational_qext_matrices(m):
+    # The same values as QExt entries take the field loop, not the integer one.
+    red, pivots = rref([[QExt(e) for e in row] for row in m])
+    want, want_pivots = rref(m)
+    assert pivots == want_pivots
+    assert red.rows == want.rows
+
+
+def test_mixed_qext_and_fraction_entries():
+    m = [[SQRT2, F(2)], [F(1), SQRT2]]
+    assert rank(m) == 1
+    (v,) = kernel(m)
+    assert SQRT2 * v[0] + 2 * v[1] == 0
+    assert v == [-SQRT2, 1]
+    x, ker = solve([[SQRT2, F(0)], [0, QExt(1, 1)]], [F(2), QExt(1, 1)])
+    assert x[0] == SQRT2 and x[1] == 1 and ker == []
+    red, pivots = rref([[F(1, 2), SQRT2], [F(1), QExt(0, 2)]])
+    assert pivots == [0] and red.rows == [[1, QExt(0, 2)], [0, 0]]
+
+
+def test_rows_skipped_by_a_step_catch_up():
+    # Row 0 has a zero in column 1 and row 2 zeros in columns 0 and 1, so
+    # each sits out a step before its entry in column 2 is cleared.
+    red, pivots = rref([[2, 0, 1], [0, 3, 0], [0, 0, 5]])
+    assert pivots == [0, 1, 2] and red == Mat.identity(3)
+    red, pivots = rref([[2, 0, 1, 1], [0, 3, 0, 1], [0, 0, 5, 1]])
+    assert red.rows == [[1, 0, 0, F(2, 5)], [0, 1, 0, F(1, 3)], [0, 0, 1, F(1, 5)]]
+
+
+def test_large_numerators_stay_exact():
+    big = 10**40 + 7
+    m = [[F(big, 3), F(1, big)], [F(1, 5), F(big, 11)]]
+    inv = inverse(m)
+    assert Mat(m) * inv == Mat.identity(2)
+    assert all(type(e) is Fraction for row in inv.rows for e in row)
+
+
 def test_inverse_and_singularity():
     m = Mat([[2, 1], [1, 1]])
     mi = inverse(m)
@@ -117,6 +227,9 @@ def test_int_entries_eliminate_in_fractions():
     assert inv.rows == [[F(1, 3), 0], [F(-1, 21), F(1, 7)]]
     for m in (red, rref([[2, 1], [1, 1]])[0], inv):
         assert all(type(e) is Fraction for r in m.rows for e in r)
+    # Bools are ints too, on both paths.
+    assert rref([[True, 2]])[0].rows == [[1, 2]]
+    assert rref([[True, SQRT2], [False, True]])[0] == Mat.identity(2)
 
 
 def test_rank_and_span():

@@ -68,6 +68,18 @@ def test_construction_normalizes_trailing_zeros():
     assert Poly.monomial(2, Fraction(1, 2)).coeffs == (0, 0, Fraction(1, 2))
 
 
+def test_hash_is_the_coefficient_hash_and_poly_stays_immutable():
+    p = Poly([Fraction(1, 3), 2, Fraction(-5, 7)])
+    assert hash(p) == hash(p.coeffs) == hash(p)
+    assert hash(Poly([Fraction(1, 3), 2, Fraction(-5, 7), 0])) == hash(p)
+    assert hash(Poly([])) == hash(())
+    assert {p: 1}[Poly([Fraction(1, 3), 2, Fraction(-5, 7)])] == 1
+    for name in ("coeffs", "_hash"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 0)
+    assert hash(p) == hash(p.coeffs)
+
+
 def test_basic_arithmetic():
     f = Poly([1, 2, 1])  # (1+x)^2
     g = Poly([1, 1])
