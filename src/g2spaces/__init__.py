@@ -23,7 +23,7 @@ from .polynomials import (
     apply_log_factor,
 )
 
-from .linalg import Mat, rref, kernel, solve
+from .linalg import rref, kernel, solve
 from .elimination import MPoly, SymPoly, solve_rational_system
 from .spaces import (
     BasePointError,

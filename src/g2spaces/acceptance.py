@@ -39,19 +39,17 @@ from .g2 import (
     three_form_from_wronskians,
     verify_standard_basis,
 )
-from .linalg import Mat, in_span, kernel, rank, same_span
+from .linalg import in_span, kernel, rank, same_span, transpose
 from .polynomials import Poly, wronskian
 from .scalars import QExt
 from .spaces import _witt_pair, monomial_space, witt_basis, witt_form
 from .spin import (
     Spinor,
-    action_matrix,
     annihilator,
     clifford_act,
     hatB,
     hatQ,
     spinor_embed,
-    unit_images,
     witt_quadratic,
 )
 
@@ -119,29 +117,30 @@ def criterion_4():
     return True, f"{len(pop.members)} members span exactly the degree window"
 
 
+def _anticommutator(i: int, j: int, p: Spinor) -> Spinor:
+    """act(i) act(j) p + act(j) act(i) p, through the sparse Clifford action."""
+    vi, vj = _unit(i), _unit(j)
+    return clifford_act(vi, clifford_act(vj, p)) + clifford_act(vj, clifford_act(vi, p))
+
+
 def criterion_5():
     rng = random.Random(5)
-    ident = Mat.identity(8)
-    mats = {i: action_matrix(i) for i in range(1, 8)}
+    spin_units = [Spinor([QExt.lift(int(r == k)) for r in range(8)]) for k in range(8)]
     checked = 0
     for i in range(1, 8):
         for j in range(i, 8):
-            anti = mats[i] * mats[j] + mats[j] * mats[i]
-            want = ((-1) ** i) * ident if i + j == 8 else 0 * ident
-            if anti != want:
+            scale = QExt.lift((-1) ** i if i + j == 8 else 0)
+            if any(_anticommutator(i, j, e) != e * scale for e in spin_units):
                 return False, f"Clifford relation fails at ({i},{j})"
             checked += 1
-    spin_units = [Spinor([QExt.lift(int(r == k)) for r in range(8)]) for k in range(8)]
     for _ in range(100):
         p = Spinor([_rand_qext(rng) for _ in range(8)])
         q = Spinor([_rand_qext(rng) for _ in range(8)])
         u = [_rand_qext(rng) for _ in range(7)]
         v = [_rand_qext(rng) for _ in range(7)]
         i, j = rng.randint(1, 7), rng.randint(1, 7)
-        images = unit_images(p)
-        anti = unit_images(images[j - 1])[i - 1] + unit_images(images[i - 1])[j - 1]
         scale = QExt.lift((-1) ** i if i + j == 8 else 0)
-        if anti != p * scale:
+        if _anticommutator(i, j, p) != p * scale:
             return False, f"Clifford relation fails on a random spinor at ({i},{j})"
         if hatB(clifford_act(v, p), q) != -hatB(p, clifford_act(v, q)):
             return False, "pairing is not action-skew"
@@ -156,14 +155,14 @@ def criterion_5():
         wq = [QExt.lift(c) for c in w]
         if witt_quadratic(wq) != 0:
             return False, "sampler produced a non-isotropic vector"
-        cols = [clifford_act(wq, s).parts for s in spin_units]
-        act = Mat.from_cols(cols)
-        if act * act != 0 * ident:
+        images = [clifford_act(wq, e) for e in spin_units]
+        if not all(clifford_act(wq, t).is_zero() for t in images):
             return False, "isotropic action does not square to zero"
-        if rank(act.rows) != 4:
-            return False, f"isotropic action has rank {rank(act.rows)}, need 4"
-        if len(kernel(act.rows)) != 4:
-            return False, "isotropic action kernel is not four-dimensional"
+        # The images are the columns of the action matrix; by rank-nullity
+        # rank 4 is the same as a four-dimensional kernel.
+        ker = kernel(transpose(t.parts for t in images))
+        if len(ker) != 4:
+            return False, f"isotropic action has rank {8 - len(ker)}, need 4"
         done += 1
         checked += 1
     return True, f"{checked} identity instances verified"
@@ -236,7 +235,7 @@ def criterion_9():
     ratio = None
     for i in range(1, 8):
         for j in range(1, 8):
-            got = mat.rows[i - 1][j - 1]
+            got = mat[i - 1][j - 1]
             want = _witt_pair(i, j)
             if want == 0:
                 if got != 0:

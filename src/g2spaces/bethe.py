@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import solve
-from .polynomials import Poly, RatFun, apply_log_factor, poly_gcd
+from .polynomials import Poly, RatFun, _int_clear, apply_log_factor, poly_gcd
 from .spaces import PolySpace, SpaceError
 
 F = Fraction
@@ -51,6 +51,9 @@ class BetheTuple:
 
     def __setattr__(self, name, value):
         raise AttributeError("BetheTuple is immutable")
+
+    def __reduce__(self):
+        return BetheTuple, (self.kind, self.polys, self.T)
 
     def replace(self, i: int, p: Poly) -> "BetheTuple":
         """The tuple with 1-based coordinate i swapped for p."""
@@ -138,13 +141,17 @@ def fertility_solve(y: Poly, rhs: Poly) -> FertilityFamily | None:
     if dstar < 0:
         return None
     # Column j is W(y, x^j) = sum_k (j - k) y_k x^(k+j-1), of degree at most
-    # deg rhs; row r reads its coefficient at k = r - j + 1.
+    # deg rhs; row r reads its coefficient at k = r - j + 1.  With y = content
+    # * ints for primitive integers ints, the system W(ints, q) = rhs / content
+    # has the same solutions and an integer matrix.
+    ints, content = _int_clear(y.coeffs)
     nrows = rhs.degree + 1
     rows = [
-        [(2 * j - r - 1) * y.coeff(r - j + 1) for j in range(dstar + 1)]
+        [(2 * j - r - 1) * ints[r - j + 1] if 0 <= r - j + 1 <= y.degree else 0
+         for j in range(dstar + 1)]
         for r in range(nrows)
     ]
-    sol = solve(rows, [rhs.coeff(r) for r in range(nrows)])
+    sol = solve(rows, [rhs.coeff(r) / content for r in range(nrows)])
     if sol is None:
         return None
     coeffs, _ = sol

@@ -142,9 +142,9 @@ def cmd_space_analyze(args) -> int:
                 lines.append("ramification: " + ", ".join(str(t) for t in T))
                 stage = "bilinear-form"
                 gram = space.bilinear_form().gram
-                payload["gram"] = [[str(c) for c in row] for row in gram.rows]
+                payload["gram"] = [[str(c) for c in row] for row in gram]
                 lines.append("gram matrix:")
-                lines.extend("  " + " ".join(str(c) for c in row) for row in gram.rows)
+                lines.extend("  " + " ".join(str(c) for c in row) for row in gram)
                 stage = "standard-basis"
                 result = check_ssd(space)
                 verdict, reason = result.verdict, result.reason

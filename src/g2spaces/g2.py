@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import Mat, kernel, rank, same_span, solve
+from .linalg import kernel, rank, same_span, solve
 from .polynomials import NotASquareError, Poly, _int_clear, perfect_square_root
 from .scalars import rational_part
 from .spaces import (
@@ -140,7 +140,7 @@ class ThreeForm:
         minors = _minor_row((x, y, z), self.entries)
         return sum((w * m for w, m in zip(self.entries.values(), minors)), F(0))
 
-    def matrix2(self, v) -> Mat:
+    def matrix2(self, v) -> list[list[Fraction]]:
         """The 7x7 alternating matrix of the contraction with v."""
         m = [[F(0)] * 7 for _ in range(7)]
         for j in range(1, 8):
@@ -150,7 +150,7 @@ class ThreeForm:
                     if v[i - 1]:
                         acc += v[i - 1] * self(i, j, k)
                 m[j - 1][k - 1] = acc
-        return Mat(m)
+        return m
 
     def __eq__(self, other):
         if not isinstance(other, ThreeForm):
@@ -285,8 +285,10 @@ def three_form_from_wronskians(space: PolySpace | None = None, seed: int = 0) ->
     nothing here presupposes the form itself), and the invariants of the
     group they generate form a line.  Homogeneous equivariance rows for
     the generators cut the ambiguity to that line; certified value
-    equations fix the scale.  Redundant value rows double as consistency
-    checks across the symmetry relations.
+    equations fix the scale.  After each value row one exact solve either
+    refutes the system, leaves a kernel (sampling goes on), or fixes the
+    form; a value row that adds no new equation must agree with the
+    earlier ones.
     """
     if space is None:
         space = degree_window_space()
@@ -295,34 +297,14 @@ def three_form_from_wronskians(space: PolySpace | None = None, seed: int = 0) ->
     rng = random.Random(seed)
     keys = list(combinations(range(1, 8), 3))
     index = {key: n for n, key in enumerate(keys)}
-    rows, rhs = [], []
-    reduced: list[tuple[list[Fraction], Fraction]] = []
-
-    def feed(row, value):
-        red, rv = list(row), value
-        for prow, pval in reduced:
-            piv = next(i for i, e in enumerate(prow) if e)
-            if red[piv]:
-                f = red[piv] / prow[piv]
-                red = [a - f * b for a, b in zip(red, prow)]
-                rv = rv - f * pval
-        if any(red):
-            reduced.append((red, rv))
-            rows.append(row)
-            rhs.append(value)
-        elif rv != 0:
-            raise SpaceError("inconsistent equations from special triples")
-
+    rows = []
     for cols in _symmetry_generators():
         for key in keys:
             row = _minor_row([cols[i - 1] for i in key], keys)
             row[index[key]] -= 1
-            feed(row, F(0))
-    attempts = 0
-    while len(rows) < 35:
-        attempts += 1
-        if attempts > 500:
-            raise SpaceError("could not collect enough independent special triples")
+            rows.append(row)
+    rhs = [F(0)] * len(rows)
+    for _ in range(500):
         triple = _random_special_triple(rng)
         polys = [wb.element(c) for c in triple]
         w = space.divided_wronskian(polys)
@@ -333,21 +315,22 @@ def three_form_from_wronskians(space: PolySpace | None = None, seed: int = 0) ->
             g = perfect_square_root(w * (1 / lc))
         except NotASquareError:
             continue
-        feed(_minor_row(triple, keys), lc * B(g, g))
-    sol = solve(rows, rhs)
-    if sol is None:
-        raise SpaceError("inconsistent three-form sampling system")
-    coeffs, ker = sol
-    if ker:
-        raise SpaceError("underdetermined three-form sampling system")
-    return ThreeForm({key: c for key, c in zip(keys, coeffs)})
+        rows.append(_minor_row(triple, keys))
+        rhs.append(lc * B(g, g))
+        sol = solve(rows, rhs)
+        if sol is None:
+            raise SpaceError("inconsistent equations from special triples")
+        coeffs, ker = sol
+        if not ker:
+            return ThreeForm({key: c for key, c in zip(keys, coeffs)})
+    raise SpaceError("could not collect enough independent special triples")
 
 
 # The seven images v_i P of the reference spinor, fixed for every phi_map.
 _P_IMAGES = unit_images(P_SPINOR)
 
 
-def phi_map(a, b, c) -> Mat:
+def phi_map(a, b, c) -> list[list[Fraction]]:
     """Symmetric square image of a wedge of three Witt-coordinate vectors.
 
     Returns the 7x7 symmetric rational matrix N with
@@ -367,10 +350,10 @@ def phi_map(a, b, c) -> Mat:
         for l in range(1, 8):
             val = ((-1) ** (k + l)) * r[(8 - k) - 1][(8 - l) - 1]
             n[k - 1][l - 1] = rational_part(val)
-    return Mat(n)
+    return n
 
 
-def quadratic_of_phi(n: Mat, vectors) -> Poly:
+def quadratic_of_phi(n: list[list[Fraction]], vectors) -> Poly:
     """The polynomial sum N_kl v_k v_l for standard basis polynomials v.
 
     The products commute, so the sum runs over k <= l with the coefficient
@@ -378,18 +361,18 @@ def quadratic_of_phi(n: Mat, vectors) -> Poly:
     out = Poly.zero()
     for k in range(7):
         for l in range(k, 7):
-            c = n.rows[k][l] if k == l else n.rows[k][l] + n.rows[l][k]
+            c = n[k][l] if k == l else n[k][l] + n[l][k]
             if c:
                 out = out + vectors[k] * vectors[l] * c
     return out
 
 
-def three_form_of_phi(n: Mat) -> Fraction:
+def three_form_of_phi(n: list[list[Fraction]]) -> Fraction:
     """Pairing of the phi image against the Witt Gram: the form's value.
 
     That is the trace of N times the Gram matrix: the sum over k of the
     Witt pairing of row k of N with the k-th unit vector."""
-    return sum((witt_form(n.rows[k], _unit(k + 1)) for k in range(7)), F(0))
+    return sum((witt_form(n[k], _unit(k + 1)) for k in range(7)), F(0))
 
 
 # -- standard basis verification and search --------------------------------
@@ -551,11 +534,10 @@ def kernel_2form(form: ThreeForm, v) -> list[list[Fraction]]:
 
     Three-dimensional when v is isotropic for the associated metric (and
     then contains v); one-dimensional (the line of v) otherwise."""
-    m = form.matrix2(v)
-    return kernel(m.rows)
+    return kernel(form.matrix2(v))
 
 
-def associated_two_form(form: ThreeForm) -> Mat:
+def associated_two_form(form: ThreeForm) -> list[list[Fraction]]:
     """The symmetric bilinear form built by pairing contractions with the form.
 
     Entry (k, l) evaluates (i_k form) wedge (i_l form) wedge form on the
@@ -579,12 +561,11 @@ def associated_two_form(form: ThreeForm) -> Mat:
                     wl = form(l, *Bk)
                     if wl:
                         b[k - 1][l - 1] += sgn * wk * wl * wC
-    mat = Mat(b)
     for i in range(7):
         for j in range(i):
-            if mat.rows[i][j] != mat.rows[j][i]:
+            if b[i][j] != b[j][i]:
                 raise SpaceError("asymmetric associated form")
-    return mat
+    return b
 
 
 def flag_is_g2_isotropic(form: ThreeForm, triple) -> bool:

@@ -1,14 +1,16 @@
 """Exact dense linear algebra over Q and Q(sqrt 2).
 
-Entries may be Fraction, int, or QExt; any type with field arithmetic and
-truthiness works.  ``rref``, which every other elimination here goes
-through, eliminates a rational matrix (only int and Fraction entries)
-fraction-free over the integers and divides once at the end; a matrix with
-any other entry, such as QExt, is eliminated over its field, with int
-entries lifted to Fraction.  Either way the results are Fractions (or
-field elements), never floats.  Pivoting is deterministic: columns are
-scanned left to right and the first row with a nonzero entry is chosen, so
-reduced forms, kernels, and solutions are canonical.
+A matrix is a plain list of row lists, and every function here takes and
+returns that one format; ``transpose`` turns a list of column vectors into
+rows.  Entries may be Fraction, int, or QExt; any type with field
+arithmetic and truthiness works.  ``rref``, which every other elimination
+here goes through, eliminates a rational matrix (only int and Fraction
+entries) fraction-free over the integers and divides once at the end; a
+matrix with any other entry, such as QExt, is eliminated over its field,
+with int entries lifted to Fraction.  Either way the results are
+Fractions (or field elements), never floats.  Pivoting is deterministic:
+columns are scanned left to right and the first row with a nonzero entry
+is chosen, so reduced forms, kernels, and solutions are canonical.
 """
 
 from __future__ import annotations
@@ -17,99 +19,9 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-class Mat:
-    """A dense matrix stored as a list of row lists."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        rows = [list(r) for r in rows]
-        if rows:
-            n = len(rows[0])
-            if any(len(r) != n for r in rows):
-                raise ValueError("ragged rows")
-        self.rows = rows
-
-    @classmethod
-    def identity(cls, n) -> "Mat":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_cols(cls, cols) -> "Mat":
-        cols = [list(c) for c in cols]
-        return cls([[c[i] for c in cols] for i in range(len(cols[0]))]) if cols else cls([])
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def col(self, j) -> list:
-        return [r[j] for r in self.rows]
-
-    def cols(self) -> list[list]:
-        return [self.col(j) for j in range(self.ncols)]
-
-    def transpose(self) -> "Mat":
-        return Mat.from_cols(self.rows)
-
-    def __add__(self, other):
-        return Mat(
-            [[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)]
-        )
-
-    def __sub__(self, other):
-        return Mat(
-            [[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)]
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, Mat):
-            if self.ncols != other.nrows:
-                raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-            ocols = other.cols()
-            return Mat(
-                [[_dot(r, c) for c in ocols] for r in self.rows]
-            )
-        if isinstance(other, (list, tuple)):
-            if self.ncols != len(other):
-                raise ValueError("shape mismatch in matrix-vector product")
-            return [_dot(r, other) for r in self.rows]
-        return Mat([[a * other for a in r] for r in self.rows])
-
-    def __rmul__(self, other):
-        return Mat([[other * a for a in r] for r in self.rows])
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
-
-    def __eq__(self, other):
-        if not isinstance(other, Mat):
-            return NotImplemented
-        return self.shape == other.shape and all(
-            a == b for r, s in zip(self.rows, other.rows) for a, b in zip(r, s)
-        )
-
-    def __repr__(self):
-        return "Mat([" + ",\n     ".join(str(r) for r in self.rows) + "])"
-
-
-def _dot(r, c):
-    it = iter(zip(r, c))
-    a, b = next(it)
-    acc = a * b
-    for a, b in it:
-        acc = acc + a * b
-    return acc
-
-
-def _rows(m) -> list:
-    """The row lists of a Mat, or m itself; never copied, never mutated."""
-    return m.rows if isinstance(m, Mat) else m
+def transpose(cols) -> list[list]:
+    """The rows of the matrix whose columns are the given vectors."""
+    return [list(row) for row in zip(*cols)]
 
 
 def _field_rref(rows) -> tuple[list[list], list[int]]:
@@ -194,24 +106,22 @@ def _integer_rref(rows) -> tuple[list[list], list[int]]:
     return [[Fraction(x, s) for x in row] for row, s in zip(ints, stamps)], pivots
 
 
-def rref(m) -> tuple[Mat, list[int]]:
+def rref(m) -> tuple[list[list], list[int]]:
     """Reduced row echelon form and the list of pivot columns.
 
     Pivots are chosen deterministically: first nonzero entry scanning each
     column top-down, columns left to right.  Rows of ints and Fractions are
-    eliminated over the integers; any other entry type over its field.
+    eliminated over the integers; any other entry type over its field.  The
+    input is never mutated: the reduced rows are new lists.
     """
-    rows = _rows(m)
-    if not rows:
-        return Mat([]), []
-    if all(isinstance(e, (int, Fraction)) for r in rows for e in r):
-        red, pivots = _integer_rref(rows)
-    else:
-        red, pivots = _field_rref(rows)
-    return Mat(red), pivots
+    if not m:
+        return [], []
+    if all(isinstance(e, (int, Fraction)) for r in m for e in r):
+        return _integer_rref(m)
+    return _field_rref(m)
 
 
-def _kernel_basis(red: Mat, pivots: list[int], ncols: int) -> list[list]:
+def _kernel_basis(red: list[list], pivots: list[int], ncols: int) -> list[list]:
     """Kernel basis read off a reduced echelon form and its pivots.
 
     Only the first ncols columns are read, so the reduced form of an
@@ -226,7 +136,7 @@ def _kernel_basis(red: Mat, pivots: list[int], ncols: int) -> list[list]:
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
         for r, c in enumerate(pivots):
-            v[c] = -red.rows[r][f]
+            v[c] = -red[r][f]
         out.append(v)
     return out
 
@@ -237,10 +147,9 @@ def kernel(m) -> list[list]:
     Each vector has 1 in its free column and the negated reduced entries in
     the pivot columns; vectors are ordered by free column.
     """
-    rows = _rows(m)
-    if not rows:
+    if not m:
         return []
-    return _kernel_basis(*rref(rows), len(rows[0]))
+    return _kernel_basis(*rref(m), len(m[0]))
 
 
 def solve(m, rhs) -> tuple[list, list[list]] | None:
@@ -250,34 +159,32 @@ def solve(m, rhs) -> tuple[list, list[list]] | None:
     elimination of [m | rhs] gives both parts; the kernel basis is the one
     ``kernel(m)`` returns.
     """
-    rows = _rows(m)
     rhs = list(rhs)
-    if not rows:
+    if not m:
         return ([], []) if not rhs else None
-    if len(rhs) != len(rows):
-        raise ValueError(f"right-hand side has {len(rhs)} entries for {len(rows)} rows")
-    ncols = len(rows[0])
-    aug = [[*row, b] for row, b in zip(rows, rhs)]
+    if len(rhs) != len(m):
+        raise ValueError(f"right-hand side has {len(rhs)} entries for {len(m)} rows")
+    ncols = len(m[0])
+    aug = [[*row, b] for row, b in zip(m, rhs)]
     red, pivots = rref(aug)
     if pivots and pivots[-1] == ncols:
         return None
     x = [Fraction(0)] * ncols
     for r, c in enumerate(pivots):
-        x[c] = red.rows[r][ncols]
+        x[c] = red[r][ncols]
     return x, _kernel_basis(red, pivots, ncols)
 
 
-def inverse(m) -> Mat:
+def inverse(m) -> list[list]:
     """Inverse of a square matrix, raising ValueError when singular."""
-    rows = _rows(m)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    n = len(m)
+    if any(len(r) != n for r in m):
         raise ValueError("inverse of a non-square matrix")
-    aug = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
+    aug = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return Mat([r[n:] for r in red.rows])
+    return [r[n:] for r in red]
 
 
 def rank(m) -> int:
@@ -288,13 +195,11 @@ def in_span(vectors, target) -> bool:
     """Whether target lies in the span of the given vectors."""
     if not vectors:
         return not any(target)
-    return solve(Mat.from_cols(vectors), target) is not None
+    return solve(transpose(vectors), target) is not None
 
 
 def same_span(vecs_a, vecs_b) -> bool:
     """Whether two lists of vectors span the same subspace."""
-    ra = rref(vecs_a)[0] if vecs_a else Mat([])
-    rb = rref(vecs_b)[0] if vecs_b else Mat([])
-    nza = [r for r in ra.rows if any(r)]
-    nzb = [r for r in rb.rows if any(r)]
+    nza = [r for r in rref(vecs_a)[0] if any(r)]
+    nzb = [r for r in rref(vecs_b)[0] if any(r)]
     return nza == nzb

@@ -39,6 +39,9 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        return Poly, (self.coeffs,)
+
     # -- constructors -----------------------------------------------------
 
     @classmethod
@@ -509,6 +512,9 @@ class RatFun:
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFun is immutable")
+
+    def __reduce__(self):
+        return RatFun, (self.num, self.den)
 
     @staticmethod
     def lift(f) -> "RatFun":

@@ -79,6 +79,9 @@ class QExt:
     def __setattr__(self, name, value):
         raise AttributeError("QExt is immutable")
 
+    def __reduce__(self):
+        return _make, (self._t,)
+
     @property
     def a(self) -> Fraction:
         return Fraction(self._t[0], self._t[2])

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import Mat, inverse, rref, solve
+from .linalg import inverse, rref, solve, transpose
 from .polynomials import InexactDivisionError, Poly, exact_div, poly_gcd_many, wronskian
 
 
@@ -46,7 +46,7 @@ def canonicalize(polys) -> list[Poly]:
     top = max(p.degree for p in polys)
     rows = [[p.coeff(top - j) for j in range(top + 1)] for p in polys]
     red, pivots = rref(rows)
-    out = [Poly(list(reversed(red.rows[r]))) for r in range(len(pivots))]
+    out = [Poly(list(reversed(red[r]))) for r in range(len(pivots))]
     out.reverse()
     return out
 
@@ -136,7 +136,7 @@ class PolySpace:
         if key not in self._cache:
             top = self.basis[-1].degree
             cols = [[p.coeff(i) for i in range(top + 1)] for p in self.basis]
-            self._cache[key] = (top, Mat.from_cols(cols))
+            self._cache[key] = (top, transpose(cols))
         return self._cache[key]
 
     def coords(self, f) -> list[Fraction] | None:
@@ -262,18 +262,11 @@ class PolySpace:
             if not self.is_self_dual():
                 raise NotSelfDualError(f"{self!r} is not self-dual")
             w_top = self.top_constant()
-            cols = [self.coords(d) for d in self.duals()]
-            C = Mat.from_cols(cols)
-            D = Mat(
-                [
-                    [w_top * (-1) ** i if i == j else Fraction(0) for j in range(self.dim)]
-                    for i in range(self.dim)
-                ]
-            )
-            G = D * inverse(C)
+            C = transpose(self.coords(d) for d in self.duals())
+            G = [[w_top * (-1) ** i * e for e in row] for i, row in enumerate(inverse(C))]
             for i in range(self.dim):
                 for j in range(i):
-                    if G.rows[i][j] != G.rows[j][i]:
+                    if G[i][j] != G[j][i]:
                         raise SpaceError("asymmetric invariant form")
             self._cache[key] = BilinearForm(self, G)
         return self._cache[key]
@@ -291,7 +284,7 @@ class PolySpace:
 class BilinearForm:
     """Symmetric invariant form of a self-dual space, as a Gram matrix."""
 
-    def __init__(self, space: PolySpace, gram: Mat):
+    def __init__(self, space: PolySpace, gram: list[list[Fraction]]):
         self.space = space
         self.gram = gram
 
@@ -305,7 +298,7 @@ class BilinearForm:
             if a:
                 for j, b in enumerate(cg):
                     if b:
-                        out += a * b * self.gram.rows[i][j]
+                        out += a * b * self.gram[i][j]
         return out
 
 
@@ -324,21 +317,17 @@ class WittBasis:
         self.m = m
         self.n = n
         self.scales = witt_scales(m, n)
-        self._cache = {}
 
     def coords(self, f) -> list[Fraction] | None:
         """Coordinates of f in the Witt basis, or None if f is outside.
 
-        Maps the space coordinates of f through the cached inverse of the
-        matrix whose columns are the space coordinates of the Witt vectors.
+        Solves for the space coordinates of f in the columns of the space
+        coordinates of the Witt vectors.
         """
         c = self.space.coords(f)
         if c is None:
             return None
-        if "inv" not in self._cache:
-            cols = [self.space.coords(v) for v in self.vectors]
-            self._cache["inv"] = inverse(Mat.from_cols(cols))
-        return self._cache["inv"] * c
+        return solve(transpose(self.space.coords(v) for v in self.vectors), c)[0]
 
     def element(self, coords) -> Poly:
         out = Poly.zero()

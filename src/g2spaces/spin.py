@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Mat, inverse, kernel, rank
+from .linalg import kernel, rank, solve, transpose
 from .scalars import HALF_SQRT2, QExt, qext_sqrt
 from .spaces import witt_form
 
@@ -42,6 +42,9 @@ class Spinor:
 
     def __setattr__(self, name, value):
         raise AttributeError("Spinor is immutable")
+
+    def __reduce__(self):
+        return Spinor, (self.parts,)
 
     def __getitem__(self, i) -> QExt:
         return self.parts[i]
@@ -146,11 +149,11 @@ def _action_rows(v) -> list[list[QExt]]:
     return rows
 
 
-def action_matrix(i: int) -> Mat:
+def action_matrix(i: int) -> list[list[QExt]]:
     """The 8x8 matrix of the i-th Witt vector acting on spinors, i in 1..7."""
     if not 1 <= i <= 7:
         raise ValueError(f"generator index must be 1..7, got {i}")
-    return Mat(_action_rows([int(k == i) for k in range(1, 8)]))
+    return _action_rows([int(k == i) for k in range(1, 8)])
 
 
 def clifford_act(v, s: Spinor) -> Spinor:
@@ -232,8 +235,7 @@ def annihilator(s: Spinor) -> list[list[QExt]]:
     Returns three Witt-coordinate vectors; raises SpinError when the
     annihilated space is not three-dimensional (s not a pure spinor).
     """
-    mat = Mat.from_cols([t.parts for t in unit_images(s)])
-    ker = kernel(mat.rows)
+    ker = kernel(transpose(t.parts for t in unit_images(s)))
     if len(ker) != 3:
         raise SpinError(
             f"annihilated space has dimension {len(ker)}, expected 3; "
@@ -246,9 +248,11 @@ def invariant_surjection(t: Spinor, p: Spinor = P_SPINOR) -> list[QExt]:
     """Vector part of t in the decomposition t = x0 p + sum_i x_i (v_i p).
 
     Defined for non-isotropic p; returns the seven Witt coordinates."""
-    m = Mat.from_cols([p.parts] + [q.parts for q in unit_images(p)])
-    x = inverse(m) * list(t.parts)
-    return x[1:]
+    cols = [p.parts] + [q.parts for q in unit_images(p)]
+    sol = solve(transpose(cols), t.parts)
+    if sol is None or sol[1]:
+        raise SpinError("p and its seven images do not form a basis: p is isotropic")
+    return sol[0][1:]
 
 
 @dataclass

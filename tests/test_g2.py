@@ -35,7 +35,7 @@ from g2spaces.fixtures import (
     transformed_basis_b,
 )
 from g2spaces.g2 import _flip, _unit, symmetry_image
-from g2spaces.linalg import Mat, rank, same_span
+from g2spaces.linalg import rank, same_span, transpose
 from g2spaces.spaces import (
     PolySpace,
     SpaceError,
@@ -104,12 +104,32 @@ class TestWronskianRoute:
 
     @pytest.mark.parametrize(
         "answer, message",
-        [(None, "inconsistent"), (([F(0)] * 35, [[F(1)] * 35]), "underdetermined")],
+        [
+            (None, "inconsistent"),
+            # A kernel that never empties keeps sampling up to the attempt bound.
+            (([F(0)] * 35, [[F(1)] * 35]), "could not collect enough independent special triples"),
+        ],
+        ids=["None-inconsistent", "answer1-underdetermined"],
     )
     def test_unsolvable_sampling_system_is_an_error(self, monkeypatch, answer, message):
         monkeypatch.setattr(g2, "solve", lambda rows, rhs: answer)
         with pytest.raises(SpaceError, match=message):
             three_form_from_wronskians(seed=0)
+
+    def test_a_corrupted_value_row_is_inconsistent(self, monkeypatch):
+        # With all three symmetry generators the first value row fixes the
+        # form.  The two shears alone leave the sampled value rows redundant
+        # (the second one at seed 0 adds no equation), so it must agree with
+        # the first; a B that doubles every value after the first breaks that.
+        space = degree_window_space()
+        wb, B = witt_basis(space), space.bilinear_form()
+        scales = iter([1])
+        generators = g2._symmetry_generators()[:2]
+        monkeypatch.setattr(g2, "_symmetry_generators", lambda: generators)
+        monkeypatch.setattr(g2, "witt_basis", lambda s: wb)
+        monkeypatch.setattr(space, "bilinear_form", lambda: lambda f, g: next(scales, 2) * B(f, g))
+        with pytest.raises(SpaceError, match="inconsistent"):
+            three_form_from_wronskians(space, seed=0)
 
 
 class TestPhiMap:
@@ -138,7 +158,7 @@ class TestPhiMap:
         for _ in range(3):
             n = phi_map(*([F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(7)]
                           for _ in range(3)))
-            assert n == n.transpose()
+            assert type(n) is list and n == transpose(n)
 
     def test_unit_triples_give_the_table_values(self):
         for key in combinations(range(1, 8), 3):
@@ -147,12 +167,12 @@ class TestPhiMap:
 
     def test_folded_sum_equals_the_full_sum_for_any_n(self, wb):
         rng = random.Random(13)
-        n = Mat([[F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(7)] for _ in range(7)])
-        assert n != n.transpose()
+        n = [[F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(7)] for _ in range(7)]
+        assert n != transpose(n)
         full = Poly.zero()
         for k in range(7):
             for l in range(7):
-                full = full + wb.vectors[k] * wb.vectors[l] * n.rows[k][l]
+                full = full + wb.vectors[k] * wb.vectors[l] * n[k][l]
         assert quadratic_of_phi(n, wb.vectors) == full
 
 
@@ -173,7 +193,7 @@ class TestAssociatedTwoForm:
         b = associated_two_form(EXPL)
         for i in range(7):
             for j in range(7):
-                assert b.rows[i][j] == F(3, 32) * _witt_pair(i + 1, j + 1)
+                assert b[i][j] == F(3, 32) * _witt_pair(i + 1, j + 1)
 
 
 class TestVerifyStandardBasis:

@@ -6,33 +6,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2spaces.linalg import Mat, in_span, inverse, kernel, rank, rref, same_span, solve
+from g2spaces.linalg import in_span, inverse, kernel, rank, rref, same_span, solve, transpose
 from g2spaces.scalars import SQRT2, QExt
 
 F = Fraction
+I2 = [[1, 0], [0, 1]]
 
 
-def test_mat_basics():
-    m = Mat([[1, 2], [3, 4]])
-    assert m.shape == (2, 2)
-    assert m.col(1) == [2, 4]
-    assert m.transpose() == Mat([[1, 3], [2, 4]])
-    assert Mat.from_cols([[1, 3], [2, 4]]) == m
-    assert m * [1, 0] == [1, 3]
-    assert (m * Mat.identity(2)) == m
-    with pytest.raises(ValueError):
-        Mat([[1, 2], [3]])
+def apply(m, v):
+    """The matrix-vector product of a row-list matrix."""
+    return [sum((a * b for a, b in zip(row, v)), F(0)) for row in m]
+
+
+def mul(a, b):
+    """The product of two row-list matrices."""
+    return transpose(apply(a, col) for col in transpose(b))
+
+
+def test_transpose_turns_columns_into_rows():
+    assert transpose([[1, 3], [2, 4]]) == [[1, 2], [3, 4]]
+    assert transpose(iter([(1, 2, 3)])) == [[1], [2], [3]]
+    assert transpose([]) == []
+    assert all(type(r) is list for r in transpose([(1, 2), (3, 4)]))
+
+
+def test_results_are_plain_row_lists():
+    for m in (rref([[1, 2], [3, 4]])[0], rref([[SQRT2, 1], [1, SQRT2]])[0], rref([])[0],
+              inverse([[1, 2], [3, 4]]), inverse([[SQRT2, 0], [0, 1]])):
+        assert type(m) is list and all(type(r) is list for r in m)
 
 
 def test_rref_canonical():
     m = [[0, 2, 4], [1, 1, 1]]
     red, pivots = rref(m)
     assert pivots == [0, 1]
-    assert red == Mat([[1, 0, -1], [0, 1, 2]])
+    assert red == [[1, 0, -1], [0, 1, 2]]
     # All-zero column is skipped.
     red2, piv2 = rref([[0, 1], [0, 2]])
     assert piv2 == [1]
-    assert red2 == Mat([[0, 1], [0, 0]])
+    assert red2 == [[0, 1], [0, 0]]
 
 
 def test_kernel_canonical():
@@ -40,9 +52,9 @@ def test_kernel_canonical():
     assert ker == [[F(-2), F(1), F(0)], [F(-3), F(0), F(1)]]
     assert kernel([[1, 0], [0, 1]]) == []
     # Kernel vectors actually annihilate.
-    m = Mat([[1, 2, 3], [4, 5, 6]])
+    m = [[1, 2, 3], [4, 5, 6]]
     for v in kernel(m):
-        assert m * v == [0, 0]
+        assert apply(m, v) == [0, 0]
 
 
 def test_solve():
@@ -92,7 +104,7 @@ def test_solve_kernel_is_kernel_of_matrix(system):
         assert rank([row + [b] for row, b in zip(m, rhs)]) == rank(m) + 1
         return
     x, ker = sol
-    assert Mat(m) * x == rhs
+    assert apply(m, x) == rhs
     assert ker == kernel(m)
 
 
@@ -161,8 +173,8 @@ def test_rref_matches_the_reference(m):
     red, pivots = rref(m)
     want, want_pivots = reference_rref(m)
     assert pivots == want_pivots
-    assert red.rows == want
-    assert all(type(e) is Fraction for row in red.rows for e in row)
+    assert red == want
+    assert all(type(e) is Fraction for row in red for e in row)
     assert m == before and all(type(a) is type(b) for r, s in zip(m, before) for a, b in zip(r, s))
     assert rank(m) == len(want_pivots)
 
@@ -174,7 +186,7 @@ def test_field_elimination_agrees_on_rational_qext_matrices(m):
     red, pivots = rref([[QExt(e) for e in row] for row in m])
     want, want_pivots = rref(m)
     assert pivots == want_pivots
-    assert red.rows == want.rows
+    assert red == want
 
 
 def test_mixed_qext_and_fraction_entries():
@@ -186,31 +198,31 @@ def test_mixed_qext_and_fraction_entries():
     x, ker = solve([[SQRT2, F(0)], [0, QExt(1, 1)]], [F(2), QExt(1, 1)])
     assert x[0] == SQRT2 and x[1] == 1 and ker == []
     red, pivots = rref([[F(1, 2), SQRT2], [F(1), QExt(0, 2)]])
-    assert pivots == [0] and red.rows == [[1, QExt(0, 2)], [0, 0]]
+    assert pivots == [0] and red == [[1, QExt(0, 2)], [0, 0]]
 
 
 def test_rows_skipped_by_a_step_catch_up():
     # Row 0 has a zero in column 1 and row 2 zeros in columns 0 and 1, so
     # each sits out a step before its entry in column 2 is cleared.
     red, pivots = rref([[2, 0, 1], [0, 3, 0], [0, 0, 5]])
-    assert pivots == [0, 1, 2] and red == Mat.identity(3)
+    assert pivots == [0, 1, 2] and red == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     red, pivots = rref([[2, 0, 1, 1], [0, 3, 0, 1], [0, 0, 5, 1]])
-    assert red.rows == [[1, 0, 0, F(2, 5)], [0, 1, 0, F(1, 3)], [0, 0, 1, F(1, 5)]]
+    assert red == [[1, 0, 0, F(2, 5)], [0, 1, 0, F(1, 3)], [0, 0, 1, F(1, 5)]]
 
 
 def test_large_numerators_stay_exact():
     big = 10**40 + 7
     m = [[F(big, 3), F(1, big)], [F(1, 5), F(big, 11)]]
     inv = inverse(m)
-    assert Mat(m) * inv == Mat.identity(2)
-    assert all(type(e) is Fraction for row in inv.rows for e in row)
+    assert mul(m, inv) == I2
+    assert all(type(e) is Fraction for row in inv for e in row)
 
 
 def test_inverse_and_singularity():
-    m = Mat([[2, 1], [1, 1]])
+    m = [[2, 1], [1, 1]]
     mi = inverse(m)
-    assert m * mi == Mat.identity(2)
-    assert inverse([[0, 1], [1, 0]]) == Mat([[0, 1], [1, 0]])
+    assert mul(m, mi) == I2
+    assert inverse([[0, 1], [1, 0]]) == [[0, 1], [1, 0]]
     assert rank([[1, 2], [2, 4]]) == 1
     with pytest.raises(ValueError):
         inverse([[1, 2], [2, 4]])
@@ -218,18 +230,18 @@ def test_inverse_and_singularity():
 
 def test_int_entries_eliminate_in_fractions():
     red, pivots = rref([[2, 1], [1, 1]])
-    assert pivots == [0, 1] and red.rows == [[1, 0], [0, 1]]
+    assert pivots == [0, 1] and red == [[1, 0], [0, 1]]
     red, _ = rref([[3, 1], [6, 5]])
-    assert red.rows == [[1, 0], [0, 1]]
+    assert red == [[1, 0], [0, 1]]
     red, _ = rref([[3, 1, 2]])
-    assert red.rows == [[1, F(1, 3), F(2, 3)]]
+    assert red == [[1, F(1, 3), F(2, 3)]]
     inv = inverse([[3, 0], [1, 7]])
-    assert inv.rows == [[F(1, 3), 0], [F(-1, 21), F(1, 7)]]
+    assert inv == [[F(1, 3), 0], [F(-1, 21), F(1, 7)]]
     for m in (red, rref([[2, 1], [1, 1]])[0], inv):
-        assert all(type(e) is Fraction for r in m.rows for e in r)
+        assert all(type(e) is Fraction for r in m for e in r)
     # Bools are ints too, on both paths.
-    assert rref([[True, 2]])[0].rows == [[1, 2]]
-    assert rref([[True, SQRT2], [False, True]])[0] == Mat.identity(2)
+    assert rref([[True, 2]])[0] == [[1, 2]]
+    assert rref([[True, SQRT2], [False, True]])[0] == I2
 
 
 def test_rank_and_span():
@@ -256,7 +268,7 @@ def test_qext_matrix_operations():
 
 
 def test_inverse_qext():
-    m = Mat([[QExt(1, 1), QExt(0, 0)], [QExt(0, 0), QExt(0, 1)]])
+    m = [[QExt(1, 1), QExt(0, 0)], [QExt(0, 0), QExt(0, 1)]]
     mi = inverse(m)
-    prod = m * mi
-    assert prod == Mat([[QExt(1, 0), QExt(0, 0)], [QExt(0, 0), QExt(1, 0)]])
+    prod = mul(m, mi)
+    assert prod == [[QExt(1, 0), QExt(0, 0)], [QExt(0, 0), QExt(1, 0)]]

@@ -1,5 +1,7 @@
 """Polynomial arithmetic, Wronskians, gcd, square roots, rational functions."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, zip_longest
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from g2spaces.bethe import BetheTuple
 from g2spaces.elimination import MPoly
 from g2spaces.polynomials import (
     InexactDivisionError,
@@ -25,8 +28,29 @@ from g2spaces.polynomials import (
     poly_gcd_many,
     wronskian,
 )
+from g2spaces.scalars import QExt
+from g2spaces.spin import P_SPINOR
 
 X = Poly.x()
+
+
+@pytest.mark.parametrize("copier", [
+    copy.copy,
+    copy.deepcopy,
+    lambda x: pickle.loads(pickle.dumps(x)),
+], ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("value", [
+    Poly([Fraction(1, 2), 0, -3]),
+    QExt(Fraction(1, 3), 2),
+    P_SPINOR,
+    BetheTuple("G2", [X + 1, X**2 - 2], [X, Poly.one()]),
+    RatFun(X**2 - 1, X * (X + 1)),
+], ids=["Poly", "QExt", "Spinor", "BetheTuple", "RatFun"])
+def test_immutable_values_copy_and_pickle(value, copier):
+    clone = copier(value)
+    assert type(clone) is type(value) and clone == value and hash(clone) == hash(value)
+    with pytest.raises(AttributeError, match="immutable"):
+        clone.anything = 1
 
 
 def naive_wronskian(polys):

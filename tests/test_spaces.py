@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from g2spaces import spaces
 from g2spaces.elimination import MPoly
-from g2spaces.linalg import Mat, solve
+from g2spaces.linalg import solve, transpose
 from g2spaces.polynomials import Poly
 from g2spaces.scalars import QExt
 from g2spaces.spaces import (
@@ -41,6 +41,35 @@ def test_canonicalize_orders_and_reduces():
     assert canonicalize([Poly.zero()]) == []
     # Dependent input collapses.
     assert len(canonicalize([X, 2 * X, X + X])) == 1
+
+
+@st.composite
+def polys_and_changes_of_basis(draw):
+    """A list of polynomials (dependent ones and zeros allowed) and an
+    invertible integer matrix of the same size, as a product L U of
+    triangular factors with nonzero diagonals."""
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    polys = draw(st.lists(st.lists(coeff, max_size=6).map(Poly), min_size=1, max_size=5))
+    n = len(polys)
+    entry, pivot = st.integers(-3, 3), st.sampled_from([-2, -1, 1, 2, 3])
+    lower = [[draw(pivot) if i == j else draw(entry) if j < i else 0 for j in range(n)]
+             for i in range(n)]
+    upper = [[draw(pivot) if i == j else draw(entry) if j > i else 0 for j in range(n)]
+             for i in range(n)]
+    change = [[sum(lower[i][k] * upper[k][j] for k in range(n)) for j in range(n)]
+              for i in range(n)]
+    return polys, change
+
+
+@settings(deadline=None)
+@given(polys_and_changes_of_basis())
+def test_canonicalize_is_invariant_under_a_change_of_basis(case):
+    polys, change = case
+    mixed = [sum((p * c for p, c in zip(polys, row)), Poly.zero()) for row in change]
+    basis = canonicalize(polys)
+    assert canonicalize(mixed) == basis
+    assert all(p.lc == 1 for p in basis)
+    assert [p.degree for p in basis] == sorted({p.degree for p in basis})
 
 
 def test_space_membership_and_coords():
@@ -109,7 +138,7 @@ def test_degree_window_gram_frozen():
                 expect = F(factorial(i - 1) * factorial(j - 1) * (-1) ** (i + 1))
             else:
                 expect = F(0)
-            assert g.rows[i - 1][j - 1] == expect
+            assert g[i - 1][j - 1] == expect
     assert B(Poly.one(), X**6) == 720
     assert B(X**3, X**3) == -36
     assert B(Poly.one(), Poly.one()) == 0
@@ -174,7 +203,7 @@ def _reference_coords(sp, f):
     """Coordinates of f by one dense solve over all degrees of f and sp."""
     top = max(sp.basis[-1].degree, f.degree)
     cols = [[p.coeff(i) for i in range(top + 1)] for p in sp.basis]
-    sol = solve(Mat.from_cols(cols), [f.coeff(i) for i in range(top + 1)])
+    sol = solve(transpose(cols), [f.coeff(i) for i in range(top + 1)])
     return sol[0] if sol else None
 
 
@@ -221,7 +250,7 @@ def test_asymmetric_ramification_of_a_self_dual_space_is_an_error(monkeypatch):
 
 
 def test_asymmetric_gram_matrix_is_an_error(monkeypatch):
-    upper = Mat([[F(int(i <= j)) for j in range(7)] for i in range(7)])
+    upper = [[F(int(i <= j)) for j in range(7)] for i in range(7)]
     monkeypatch.setattr(spaces, "inverse", lambda m: upper)
     with pytest.raises(SpaceError, match="asymmetric invariant form"):
         monomial_space(1, 3).bilinear_form()
