@@ -20,7 +20,13 @@ from .spaces import PolySpace, SpaceError
 
 F = Fraction
 
-_SIZES = {"A6": 6, "C3": 3, "G2": 2}
+# The Cartan matrix (a_ij) of each kind, which fixes reproduction_rhs.
+_CARTAN = {
+    "A6": tuple(tuple({0: 2, 1: -1}.get(abs(i - j), 0) for j in range(6)) for i in range(6)),
+    "C3": ((2, -1, 0), (-1, 2, -2), (0, -1, 2)),
+    "G2": ((2, -1), (-3, 2)),
+}
+_SIZES = {kind: len(a) for kind, a in _CARTAN.items()}
 
 
 class BetheTuple:
@@ -162,26 +168,14 @@ _PARAMS = (F(0), F(1), F(-1), F(2))
 
 
 def reproduction_rhs(t: BetheTuple, i: int) -> Poly:
-    """Right-hand side of the reproduction equation in direction i (1-based)."""
-    y, T = t.polys, t.T
-    if t.kind == "G2":
-        if i == 1:
-            return T[0] * y[1]
-        if i == 2:
-            return T[1] * y[0] ** 3
-    elif t.kind == "C3":
-        if i == 1:
-            return T[0] * y[1]
-        if i == 2:
-            return T[1] * y[0] * y[2] ** 2
-        if i == 3:
-            return T[2] * y[1]
-    elif t.kind == "A6":
-        if 1 <= i <= 6:
-            left = y[i - 2] if i >= 2 else Poly.one()
-            right = y[i] if i <= 5 else Poly.one()
-            return T[i - 1] * left * right
-    raise ValueError(f"direction {i} is invalid for kind {t.kind}")
+    """Right-hand side T_i * prod_{j != i} y_j^(-a_ij) in direction i (1-based)."""
+    if not 1 <= i <= _SIZES[t.kind]:
+        raise ValueError(f"direction {i} is invalid for kind {t.kind}")
+    out = t.T[i - 1]
+    for y, a in zip(t.polys, _CARTAN[t.kind][i - 1]):
+        for _ in range(-a):
+            out = out * y
+    return out
 
 
 def descendants(t: BetheTuple, i: int) -> tuple[BetheTuple, ...]:
@@ -345,8 +339,9 @@ def space_from_population(pop: Population) -> PolySpace:
 
 # -- weights ----------------------------------------------------------------
 
-# Simple roots in fundamental-weight coordinates; the first root is long.
-G2_ALPHA = ((2, -3), (-1, 2))
+# Simple roots in fundamental-weight coordinates (the columns of the Cartan
+# matrix); the first root is long.
+G2_ALPHA = tuple(zip(*_CARTAN["G2"]))
 
 
 @dataclass(frozen=True)

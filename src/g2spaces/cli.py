@@ -359,11 +359,11 @@ def _seed_from_args(args) -> BetheTuple:
             raise InputError(f"bad seed file: {exc}") from None
     else:
         seed = get_seed(args.fixture)
-    if args.T1 or args.T2:
+    if args.T1 is not None or args.T2 is not None:
         if seed.kind != "G2":
             raise InputError("ramification flags apply to pair seeds only")
-        T1 = _poly_from_flag(args.T1) if args.T1 else seed.T[0]
-        T2 = _poly_from_flag(args.T2) if args.T2 else seed.T[1]
+        T1 = seed.T[0] if args.T1 is None else _poly_from_flag(args.T1)
+        T2 = seed.T[1] if args.T2 is None else _poly_from_flag(args.T2)
         try:
             seed = BetheTuple(seed.kind, seed.polys, [T1, T2])
         except ValueError as exc:

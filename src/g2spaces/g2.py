@@ -101,15 +101,16 @@ def _perm_sign(seq) -> int:
 
 
 def _minor_row(triple, keys) -> list[Fraction]:
-    """The 3x3 minors of the triple's coordinate columns at each key (1-based)."""
+    """The 3x3 minors of the triple's coordinate columns at each key (1-based),
+    expanded along the first vector; its zero entries skip their terms."""
     x, y, z = triple
     row = []
     for i, j, k in keys:
         a, b, c = i - 1, j - 1, k - 1
         minor = (
-            x[a] * (y[b] * z[c] - y[c] * z[b])
-            - x[b] * (y[a] * z[c] - y[c] * z[a])
-            + x[c] * (y[a] * z[b] - y[b] * z[a])
+            (x[a] and x[a] * (y[b] * z[c] - y[c] * z[b]))
+            - (x[b] and x[b] * (y[a] * z[c] - y[c] * z[a]))
+            + (x[c] and x[c] * (y[a] * z[b] - y[b] * z[a]))
         )
         row.append(minor)
     return row
@@ -268,7 +269,10 @@ def symmetry_image(g, basis) -> tuple[Poly, ...]:
     )
 
 
-def three_form_from_wronskians(space: PolySpace | None = None, seed: int = 0) -> ThreeForm:
+_CERTIFIED_TRIPLES = 8  # per call: the first fixes the scale, the rest check it
+
+
+def three_form_from_wronskians(space: PolySpace | None = None) -> ThreeForm:
     """The three-form recovered from divided Wronskians of special 3-spaces.
 
     On special 3-spaces the divided Wronskian is a constant times a perfect
@@ -279,50 +283,50 @@ def three_form_from_wronskians(space: PolySpace | None = None, seed: int = 0) ->
 
     Wedges of special 3-spaces span only a 28-dimensional subspace of the
     35-dimensional wedge cube, so value equations alone leave a
-    7-dimensional ambiguity.  The missing constraints are symmetry:
-    the form is invariant under the two shear families and the flip (all
-    three preserve standard bases, a fact about the quadratic table, so
-    nothing here presupposes the form itself), and the invariants of the
-    group they generate form a line.  Homogeneous equivariance rows for
-    the generators cut the ambiguity to that line; certified value
-    equations fix the scale.  After each value row one exact solve either
-    refutes the system, leaves a kernel (sampling goes on), or fixes the
-    form; a value row that adds no new equation must agree with the
-    earlier ones.
+    7-dimensional ambiguity.  The missing constraints are symmetry: the
+    form is invariant under the two shear families and the flip (all three
+    preserve standard bases, a fact about the quadratic table, so nothing
+    here presupposes the form itself).  Their equivariance rows depend on
+    neither the space nor the samples; one elimination must leave a line,
+    the invariants of the group they generate.  A certified triple's minors
+    against the line, times the scale, must equal L*B(g, g): the first
+    triple with nonzero minors fixes the scale and all later ones check it.
     """
     if space is None:
         space = degree_window_space()
     wb = witt_basis(space)
     B = space.bilinear_form()
-    rng = random.Random(seed)
     keys = list(combinations(range(1, 8), 3))
-    index = {key: n for n, key in enumerate(keys)}
     rows = []
     for cols in _symmetry_generators():
-        for key in keys:
+        for n, key in enumerate(keys):
             row = _minor_row([cols[i - 1] for i in key], keys)
-            row[index[key]] -= 1
+            row[n] -= 1
             rows.append(row)
-    rhs = [F(0)] * len(rows)
+    invariants = kernel(rows)
+    if len(invariants) != 1:
+        raise SpaceError(f"symmetry rows leave a {len(invariants)}-dimensional kernel, not a line")
+    line = invariants[0]
+    rng = random.Random(0)
+    scale, certified = None, 0
     for _ in range(500):
         triple = _random_special_triple(rng)
-        polys = [wb.element(c) for c in triple]
-        w = space.divided_wronskian(polys)
+        w = space.divided_wronskian([wb.element(c) for c in triple])
         if w.is_zero():
             continue
-        lc = w.lc
         try:
-            g = perfect_square_root(w * (1 / lc))
+            g = perfect_square_root(w * (1 / w.lc))
         except NotASquareError:
             continue
-        rows.append(_minor_row(triple, keys))
-        rhs.append(lc * B(g, g))
-        sol = solve(rows, rhs)
-        if sol is None:
+        dot = sum((m * c for m, c in zip(_minor_row(triple, keys), line) if c), F(0))
+        value = w.lc * B(g, g)
+        if scale is None and dot:
+            scale = value / dot
+        elif dot * (scale or 0) != value:
             raise SpaceError("inconsistent equations from special triples")
-        coeffs, ker = sol
-        if not ker:
-            return ThreeForm({key: c for key, c in zip(keys, coeffs)})
+        certified += 1
+        if certified >= _CERTIFIED_TRIPLES and scale is not None:
+            return ThreeForm({key: scale * c for key, c in zip(keys, line)})
     raise SpaceError("could not collect enough independent special triples")
 
 

@@ -363,3 +363,63 @@ class TestVerifyCommands:
         code, out, err = run(capsys, "verify", "table1")
         assert code == 3 and out == ""
         assert err == "internal error: RuntimeError: injected\n"
+
+
+_NINE_DIMENSIONAL = {"basis": [[str(int(k == d)) for k in range(d + 1)] for d in range(9)]}
+_BAD_SPACE_FILES = {
+    "null": (None, 2),
+    "list": ([], 2),
+    "dict": ({}, 2),
+    "string-basis": ({"basis": "x"}, 2),
+    "nested-row": ({"basis": [[["1"]]]}, 2),
+    "empty-basis": ({"basis": []}, 1),
+    "nine-dimensional": (_NINE_DIMENSIONAL, 1),
+}
+_BAD_VECTORS = {
+    "short": ["1", "0"],
+    "null": None,
+    "nested": [["1"]] + unit(1)[1:],
+    "non-numeric": ["a"] + unit(1)[1:],
+    "bad-qext": [{"a": "1"}] + unit(1)[1:],
+}
+_ZERO_COORDINATE = {"kind": "G2", "polys": [["0"], ["1"]], "T": [["1"], ["1"]]}
+_UNKNOWN_KIND = {"kind": "B5", "polys": [["1"], ["1"]], "T": [["1"], ["1"]]}
+_NO_FILE = object()
+
+
+def _malformed_input_cases():
+    for command in ("analyze", "witt", "standard-basis", "check-ssd"):
+        for name, (obj, code) in _BAD_SPACE_FILES.items():
+            yield pytest.param(["space", command], obj, code, id=f"space-{command}-{name}")
+    for argv, triple in (
+        (["spin", "embed"], True),
+        (["spin", "preimages"], False),
+        (["g2", "kernel"], False),
+        (["g2", "flags"], True),
+    ):
+        for name, vector in _BAD_VECTORS.items():
+            obj = [vector, unit(2), unit(3)] if triple else vector
+            yield pytest.param(argv, obj, 2, id="-".join(argv + [name]))
+    for command in ("reproduce", "population"):
+        yield pytest.param(["bethe", command], _ZERO_COORDINATE, 2, id=f"bethe-{command}-zero")
+        yield pytest.param(["bethe", command], _UNKNOWN_KIND, 2, id=f"bethe-{command}-kind")
+        yield pytest.param(
+            ["bethe", command, "--T1", ""], _NO_FILE, 2, id=f"bethe-{command}-empty-T1"
+        )
+    yield pytest.param(["poly", "wronskian"], [["1/0"]], 2, id="poly-wronskian-1/0")
+    yield pytest.param(["poly", "wronskian"], {"basis_": [["1"]]}, 2, id="poly-wronskian-no-polys")
+
+
+@pytest.mark.parametrize("argv, obj, code", _malformed_input_cases())
+def test_malformed_input_keeps_the_exit_code_contract(capsys, tmp_path, argv, obj, code):
+    """Malformed input exits 2 and a degenerate space 1, each with one clean stderr line."""
+    if obj is not _NO_FILE:
+        argv = argv + [write(tmp_path, "input.json", obj)]
+    got, _, err = run(capsys, *argv)
+    assert got == code, err
+    assert "Traceback" not in err and "internal error" not in err
+    assert err.count("\n") <= 1
+    if code == 2:
+        assert err.startswith("error: ")
+    if obj is _NO_FILE:
+        assert err.startswith("error: bad coefficient list ''")

@@ -6,7 +6,7 @@ from itertools import combinations
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from g2spaces import (
@@ -27,7 +27,7 @@ from g2spaces import (
     verify_standard_basis,
 )
 from g2spaces import g2, linalg
-from g2spaces.bethe import BetheTuple, population_bfs, space_from_population
+from g2spaces.bethe import BetheTuple, is_generic, population_bfs, space_from_population
 from g2spaces.fixtures import (
     factorial_basis,
     get_space,
@@ -36,6 +36,7 @@ from g2spaces.fixtures import (
 )
 from g2spaces.g2 import _flip, _unit, symmetry_image
 from g2spaces.linalg import rank, same_span, transpose
+from g2spaces.polynomials import NotASquareError
 from g2spaces.spaces import (
     PolySpace,
     SpaceError,
@@ -94,42 +95,59 @@ class TestSpinRoute:
 
 class TestWronskianRoute:
     def test_degree_window_space(self):
-        assert three_form_from_wronskians(seed=0) == EXPL
+        assert three_form_from_wronskians() == EXPL
 
     def test_monomial_space_2_3(self):
-        assert three_form_from_wronskians(monomial_space(2, 3), seed=1) == EXPL
+        assert three_form_from_wronskians(monomial_space(2, 3)) == EXPL
 
-    def test_different_seed_agrees(self):
-        assert three_form_from_wronskians(seed=5) == EXPL
+    def test_one_elimination_and_no_solve(self, monkeypatch):
+        calls = []
 
-    @pytest.mark.parametrize(
-        "answer, message",
-        [
-            (None, "inconsistent"),
-            # A kernel that never empties keeps sampling up to the attempt bound.
-            (([F(0)] * 35, [[F(1)] * 35]), "could not collect enough independent special triples"),
-        ],
-        ids=["None-inconsistent", "answer1-underdetermined"],
-    )
-    def test_unsolvable_sampling_system_is_an_error(self, monkeypatch, answer, message):
-        monkeypatch.setattr(g2, "solve", lambda rows, rhs: answer)
-        with pytest.raises(SpaceError, match=message):
-            three_form_from_wronskians(seed=0)
+        def counted(m):
+            calls.append(len(m))
+            return linalg.kernel(m)
 
-    def test_a_corrupted_value_row_is_inconsistent(self, monkeypatch):
-        # With all three symmetry generators the first value row fixes the
-        # form.  The two shears alone leave the sampled value rows redundant
-        # (the second one at seed 0 adds no equation), so it must agree with
-        # the first; a B that doubles every value after the first breaks that.
+        monkeypatch.setattr(g2, "kernel", counted)
+        monkeypatch.setattr(g2, "solve", lambda rows, rhs: pytest.fail("solve was called"))
+        assert three_form_from_wronskians() == EXPL
+        assert calls == [105]
+
+    def test_a_corrupted_later_value_is_inconsistent(self, monkeypatch):
+        # All three symmetry generators leave a line; the first certified
+        # triple fixes the scale, and a B that doubles every later value
+        # breaks the agreement with it.
         space = degree_window_space()
         wb, B = witt_basis(space), space.bilinear_form()
         scales = iter([1])
-        generators = g2._symmetry_generators()[:2]
-        monkeypatch.setattr(g2, "_symmetry_generators", lambda: generators)
         monkeypatch.setattr(g2, "witt_basis", lambda s: wb)
         monkeypatch.setattr(space, "bilinear_form", lambda: lambda f, g: next(scales, 2) * B(f, g))
         with pytest.raises(SpaceError, match="inconsistent"):
-            three_form_from_wronskians(space, seed=0)
+            three_form_from_wronskians(space)
+
+    def test_no_certified_triple_hits_the_attempt_bound(self, monkeypatch):
+        def never_a_square(p):
+            raise NotASquareError("injected")
+
+        monkeypatch.setattr(g2, "perfect_square_root", never_a_square)
+        with pytest.raises(SpaceError, match="could not collect enough independent special triples"):
+            three_form_from_wronskians()
+
+    def test_two_generators_leave_more_than_a_line(self, monkeypatch):
+        generators = g2._symmetry_generators()[:2]
+        monkeypatch.setattr(g2, "_symmetry_generators", lambda: generators)
+        with pytest.raises(SpaceError, match="not a line"):
+            three_form_from_wronskians()
+
+    def test_never_a_wrongly_scaled_form(self):
+        # The Witt basis of a translated space is not a standard basis, so
+        # its sampled triples are not special; the value equations must
+        # then refuse the space rather than scale the line wrongly.
+        try:
+            form = three_form_from_wronskians(get_space("shifted-2-3"))
+        except SpaceError as exc:
+            assert "inconsistent" in str(exc)
+        else:
+            assert form == EXPL
 
 
 class TestPhiMap:
@@ -288,6 +306,26 @@ class TestFlags:
         y1, y2 = flag_to_pair(space, wb, [unit(1), unit(2), unit(3)])
         assert y1 == Poly.one()
         assert y2 == Poly.one()
+
+
+@settings(deadline=None, max_examples=6)
+@given(rng=st.randoms(use_true_random=False))
+def test_random_g2_flag_pair_repopulates_deg6(rng):
+    # The paper's bridge: an isotropic v, the kernel of the form contracted
+    # with v, and a plane between them make a G2-isotropic flag, whose pair
+    # seeds a population spanning the space again.
+    v = g2.random_isotropic_vector(rng)
+    assume(v is not None)
+    ker = kernel_2form(three_form_from_spin(), v)
+    mix = [F(rng.randint(-3, 3)) for _ in ker]
+    u = [sum(c * k[i] for c, k in zip(mix, ker)) for i in range(7)]
+    assume(rank([v, u]) == 2)
+    triple = [v, u, next(k for k in ker if rank([v, u, k]) == 3)]
+    assert flag_is_g2_isotropic(EXPL, triple)
+    space = get_space("deg6")
+    seed = BetheTuple("G2", flag_to_pair(space, witt_basis(space), triple), [Poly.one()] * 2)
+    assume(is_generic(seed))
+    assert space_from_population(population_bfs(seed, depth=6)).basis == space.basis
 
 
 def _explicit_basis_a(basis, c):
