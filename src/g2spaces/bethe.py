@@ -238,8 +238,11 @@ def population_bfs(seed: BetheTuple, depth: int = 6, max_nodes: int = 400) -> Po
 
     Deduplicates on the canonical monic form; the BFS stops once it holds
     max_nodes members.  The two alternating direction chains still run to
-    the given depth, taking the degree-maximal child at each step; their
-    members join the population, so its span does not hinge on the budget.
+    the given depth, taking the degree-maximal child at each step, and
+    their members join the population.  The span can still hinge on the
+    budget: for random G2-isotropic flag pairs of ``deg6`` a budget of 40
+    spans six dimensions where the default 400 spans seven, and
+    ``space_from_population`` then asks to explore deeper.
     """
     if not is_generic(seed):
         raise ValueError("population seed must be generic")

@@ -455,9 +455,9 @@ def cmd_verify_table1(args) -> int:
     space = get_space("deg6")
     vs = factorial_basis()
     bad = []
+    divided = space.divided_wronskians(vs, 3)
     for key in sorted(WRONSKIAN_TABLE):
-        i, j, k = key
-        got = space.divided_wronskian([vs[i - 1], vs[j - 1], vs[k - 1]])
+        got = divided[tuple(i - 1 for i in key)]
         want = table_quadratic(vs, key)
         if key == corrupt:
             want = want + vs[0] * vs[0]

@@ -31,6 +31,7 @@ from .spaces import (
     WittGramError,
     _witt_gram_mismatches,
     _witt_pair,
+    combine,
     degree_window_space,
     witt_basis,
     witt_form,
@@ -264,9 +265,7 @@ def symmetry_image(g, basis) -> tuple[Poly, ...]:
     """A map g of Witt coordinates carried onto a basis: slot i becomes
     sum_j g(e_i)_j v_j.  The shears and the flip send standard bases to
     standard bases."""
-    return tuple(
-        sum((v * c for c, v in zip(g(_unit(i)), basis) if c), Poly.zero()) for i in range(1, 8)
-    )
+    return tuple(combine(g(_unit(i)), basis) for i in range(1, 8))
 
 
 _CERTIFIED_TRIPLES = 8  # per call: the first fixes the scale, the rest check it
@@ -291,10 +290,15 @@ def three_form_from_wronskians(space: PolySpace | None = None) -> ThreeForm:
     the invariants of the group they generate.  A certified triple's minors
     against the line, times the scale, must equal L*B(g, g): the first
     triple with nonzero minors fixes the scale and all later ones check it.
+
+    Triples are sampled in the certified standard basis of
+    ``find_standard_basis``, so a space without one is a SpaceError.
     """
     if space is None:
         space = degree_window_space()
-    wb = witt_basis(space)
+    found = find_standard_basis(space)
+    if found.status != "found":
+        raise SpaceError(f"no certified standard basis to sample in: {found.detail}")
     B = space.bilinear_form()
     keys = list(combinations(range(1, 8), 3))
     rows = []
@@ -311,7 +315,7 @@ def three_form_from_wronskians(space: PolySpace | None = None) -> ThreeForm:
     scale, certified = None, 0
     for _ in range(500):
         triple = _random_special_triple(rng)
-        w = space.divided_wronskian([wb.element(c) for c in triple])
+        w = space.divided_wronskian([combine(x, found.vectors) for x in triple])
         if w.is_zero():
             continue
         try:
@@ -416,9 +420,9 @@ def verify_standard_basis(space: PolySpace, vectors) -> StandardBasisReport:
     B = space.bilinear_form()
     for i, j, got, want in _witt_gram_mismatches(B, vs):
         failures.append(("pairing", (i, j), got, want))
+    divided = space.divided_wronskians(vs, 3)
     for key in sorted(WRONSKIAN_TABLE):
-        i, j, k = key
-        got = space.divided_wronskian([vs[i - 1], vs[j - 1], vs[k - 1]])
+        got = divided[tuple(i - 1 for i in key)]
         want = table_quadratic(vs, key)
         if got != want:
             failures.append(("table", key, got, want))

@@ -9,6 +9,7 @@ restoring exact rational results.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd as int_gcd
 from operator import truediv
 
@@ -361,6 +362,21 @@ def _iz_primitive(f: list[int]) -> list[int]:
 def _iz_derivative(f: list[int]) -> list[int]:
     return [i * c for i, c in enumerate(f)][1:]
 
+def _iz_gcd(a: list[int], b: list[int]) -> list[int]:
+    """A gcd in Z[x], up to an integer factor; [] for two zeros.
+
+    A primitive remainder sequence: pseudo-remainders, each made primitive
+    to control coefficient growth.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        # Each remainder is shorter than b, so a stays the longer of the two.
+        scale = b[-1] ** (len(a) - len(b) + 1)
+        _, r = long_divide([v * scale for v in a], b, _iz_div)
+        a, b = b, _iz_primitive(_iz_trim(r))
+    return a
+
 def _iz_bareiss_det(m: list[list[list[int]]]) -> list[int]:
     """Fraction-free determinant of a matrix with Z[x] entries."""
     n = len(m)
@@ -422,6 +438,65 @@ def wronskian(polys) -> Poly:
     return Poly(det) * scale
 
 
+class WronskianTable:
+    """Wronskians of the subsets of a fixed list of polynomials.
+
+    Each polynomial is cleared to a primitive integer list times a rational
+    scale.  Level k holds the integer Wronskian of every k-subset, keyed by
+    increasing index tuples in ``combinations`` order, and is built on first
+    use from level k - 1: the Laplace expansion along the last column
+    (derivative k - 1) makes each entry a signed sum of k products of a
+    (k - 1)-subset entry and one derivative, with no division.  All levels
+    of n polynomials take n * 2^(n-1) products.  For one dense determinant
+    ``wronskian`` stays faster.
+    """
+
+    def __init__(self, polys):
+        cleared = [_int_clear(f.coeffs) for f in polys]
+        self._derivs = [[ints] for ints, _ in cleared]  # 0th, 1st, ... derivative
+        self._scales = [s for _, s in cleared]
+        self._levels = [{(): [1]}]
+
+    def level(self, k: int) -> dict[tuple[int, ...], list[int]]:
+        """The integer Wronskians of all k-subsets."""
+        n = len(self._derivs)
+        if not 0 <= k <= n:
+            raise ValueError(f"subset size must be in 0..{n}, got {k}")
+        while len(self._levels) <= k:
+            k_new = len(self._levels)
+            prev = self._levels[-1]
+            if k_new > 1:
+                for d in self._derivs:
+                    d.append(_iz_derivative(d[-1]))
+            tops = [d[k_new - 1] for d in self._derivs]
+            out = {}
+            for subset in combinations(range(n), k_new):
+                acc = []
+                for p, i in enumerate(subset):
+                    top, minor = tops[i], prev[subset[:p] + subset[p + 1 :]]
+                    if not top or not minor:
+                        continue
+                    if len(acc) < len(top) + len(minor) - 1:
+                        acc.extend([0] * (len(top) + len(minor) - 1 - len(acc)))
+                    # Cofactor sign (-1)^(row + column) with 1-based row p + 1.
+                    sign = -1 if (p + k_new) % 2 == 0 else 1
+                    for a, c in enumerate(top):
+                        if c:
+                            c *= sign
+                            for b, m in enumerate(minor, a):
+                                acc[b] += c * m
+                out[subset] = _iz_trim(acc)
+            self._levels.append(out)
+        return self._levels[k]
+
+    def scale(self, subset) -> Fraction:
+        """The rational factor of the subset's Wronskian over its entry."""
+        out = Fraction(1)
+        for i in subset:
+            out *= self._scales[i]
+        return out
+
+
 def poly_gcd(f, g) -> Poly:
     """Monic greatest common divisor, via a primitive remainder sequence."""
     f, g = Poly.lift(f), Poly.lift(g)
@@ -431,24 +506,7 @@ def poly_gcd(f, g) -> Poly:
         return f.monic()
     a, _ = _int_clear(f.coeffs)
     b, _ = _int_clear(g.coeffs)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        # Pseudo-remainder of a by b, kept primitive to control growth; each
-        # remainder is shorter than b, so a stays the longer of the two.
-        scale = b[-1] ** (len(a) - len(b) + 1)
-        _, r = long_divide([v * scale for v in a], b, _iz_div)
-        a, b = b, _iz_primitive(_iz_trim(r))
-    return Poly(a).monic()
-
-
-def poly_gcd_many(polys) -> Poly:
-    out = Poly.zero()
-    for f in polys:
-        out = poly_gcd(out, f)
-        if out == Poly.one():
-            break
-    return out
+    return Poly(_iz_gcd(a, b)).monic()
 
 
 def exact_div(f, g) -> Poly:

@@ -11,10 +11,18 @@ whose pairing matrix is exactly antidiagonal.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 from .linalg import inverse, rref, solve, transpose
-from .polynomials import InexactDivisionError, Poly, exact_div, poly_gcd_many, wronskian
+from .polynomials import (
+    InexactDivisionError,
+    Poly,
+    WronskianTable,
+    _iz_exact_div,
+    _iz_gcd,
+    _iz_primitive,
+    exact_div,
+    wronskian,
+)
 
 
 class SpaceError(ValueError):
@@ -49,6 +57,11 @@ def canonicalize(polys) -> list[Poly]:
     out = [Poly(list(reversed(red[r]))) for r in range(len(pivots))]
     out.reverse()
     return out
+
+
+def combine(coords, polys) -> Poly:
+    """The linear combination sum_j coords_j polys_j."""
+    return sum((p * c for c, p in zip(coords, polys) if c), Poly.zero())
 
 
 def _witt_pair(i: int, j: int) -> Fraction:
@@ -163,12 +176,34 @@ class PolySpace:
         """The linear combination of the canonical basis with given coords."""
         if len(coords) != self.dim:
             raise ValueError(f"expected {self.dim} coordinates")
-        out = Poly.zero()
-        for c, p in zip(coords, self.basis):
-            out = out + p * c
-        return out
+        return combine(coords, self.basis)
 
     # -- ramification -----------------------------------------------------
+
+    def _wronskians(self) -> WronskianTable:
+        """The Wronskians of all subsets of the canonical basis."""
+        if "wronskians" not in self._cache:
+            self._cache["wronskians"] = WronskianTable(self.basis)
+        return self._cache["wronskians"]
+
+    def _U_ints(self, k: int) -> list[int]:
+        """U_k as a primitive integer list with positive leading coefficient."""
+        key = ("U ints", k)
+        if key not in self._cache:
+            g = []
+            for w in self._wronskians().level(k).values():
+                g = _iz_gcd(g, w)
+                if len(g) == 1:
+                    break
+            self._cache[key] = _iz_primitive(g)
+        return self._cache[key]
+
+    def _divided(self, table: WronskianTable, subset) -> Poly:
+        """A table entry over U_k: exact in Z[x], since U_k is primitive."""
+        self.U(len(subset))  # the range check, and the base-point check at k = 1
+        u = self._U_ints(len(subset))
+        s = table.scale(subset) * u[-1]
+        return Poly([s * c for c in _iz_exact_div(table.level(len(subset))[subset], u)])
 
     def U(self, k: int) -> Poly:
         """Monic gcd of the Wronskians of all k-subsets of the space."""
@@ -176,7 +211,7 @@ class PolySpace:
             raise ValueError(f"k must be in 1..{self.dim}, got {k}")
         key = ("U", k)
         if key not in self._cache:
-            g = poly_gcd_many(wronskian(subset) for subset in combinations(self.basis, k))
+            g = Poly(self._U_ints(k)).monic()
             if k == 1 and g != Poly.one():
                 raise BasePointError(f"all elements share the factor {g}")
             self._cache[key] = g
@@ -203,21 +238,35 @@ class PolySpace:
 
     # -- divided Wronskians ----------------------------------------------
 
-    def divided_wronskian(self, polys) -> Poly:
-        """Wronskian of k space elements divided by the k-th divisor U_k."""
+    def _check_members(self, polys) -> list[Poly]:
         polys = [Poly.lift(p) for p in polys]
         if not 1 <= len(polys) <= self.dim:
             raise ValueError(f"expected 1..{self.dim} polynomials, got {len(polys)}")
         for p in polys:
             if not self.contains(p):
                 raise SpaceError(f"{p} is not an element of {self!r}")
+        return polys
+
+    def divided_wronskian(self, polys) -> Poly:
+        """Wronskian of k space elements divided by the k-th divisor U_k."""
+        polys = self._check_members(polys)
         return exact_div(wronskian(polys), self.U(len(polys)))
+
+    def divided_wronskians(self, polys, k: int) -> dict[tuple[int, ...], Poly]:
+        """Divided Wronskians of every k-subset of the space elements polys.
+
+        Keys are increasing 0-based index tuples; one WronskianTable over
+        polys gives every Wronskian.
+        """
+        polys = self._check_members(polys)
+        table = WronskianTable(polys)
+        return {subset: self._divided(table, subset) for subset in table.level(k)}
 
     def top_constant(self) -> Fraction:
         """The constant divided Wronskian of the full canonical basis."""
         key = "top_constant"
         if key not in self._cache:
-            w = self.divided_wronskian(self.basis)
+            w = self._divided(self._wronskians(), tuple(range(self.dim)))
             if not w.is_constant():
                 raise SpaceError("full divided Wronskian is not constant")
             self._cache[key] = w.coeff(0)
@@ -231,9 +280,9 @@ class PolySpace:
         """
         key = "duals"
         if key not in self._cache:
+            table, n = self._wronskians(), self.dim
             self._cache[key] = [
-                self.divided_wronskian(self.basis[:i] + self.basis[i + 1 :])
-                for i in range(self.dim)
+                self._divided(table, tuple(j for j in range(n) if j != i)) for i in range(n)
             ]
         return self._cache[key]
 
@@ -330,10 +379,7 @@ class WittBasis:
         return solve(transpose(self.space.coords(v) for v in self.vectors), c)[0]
 
     def element(self, coords) -> Poly:
-        out = Poly.zero()
-        for c, p in zip(coords, self.vectors):
-            out = out + p * c
-        return out
+        return combine(coords, self.vectors)
 
     def __repr__(self):
         return f"WittBasis(a={self.a}, m={self.m}, n={self.n})"

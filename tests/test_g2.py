@@ -29,6 +29,7 @@ from g2spaces import (
 from g2spaces import g2, linalg
 from g2spaces.bethe import BetheTuple, is_generic, population_bfs, space_from_population
 from g2spaces.fixtures import (
+    SPACES,
     factorial_basis,
     get_space,
     transformed_basis_a,
@@ -117,9 +118,9 @@ class TestWronskianRoute:
         # triple fixes the scale, and a B that doubles every later value
         # breaks the agreement with it.
         space = degree_window_space()
-        wb, B = witt_basis(space), space.bilinear_form()
+        found, B = find_standard_basis(space), space.bilinear_form()
         scales = iter([1])
-        monkeypatch.setattr(g2, "witt_basis", lambda s: wb)
+        monkeypatch.setattr(g2, "find_standard_basis", lambda s: found)
         monkeypatch.setattr(space, "bilinear_form", lambda: lambda f, g: next(scales, 2) * B(f, g))
         with pytest.raises(SpaceError, match="inconsistent"):
             three_form_from_wronskians(space)
@@ -139,15 +140,17 @@ class TestWronskianRoute:
             three_form_from_wronskians()
 
     def test_never_a_wrongly_scaled_form(self):
-        # The Witt basis of a translated space is not a standard basis, so
-        # its sampled triples are not special; the value equations must
-        # then refuse the space rather than scale the line wrongly.
-        try:
-            form = three_form_from_wronskians(get_space("shifted-2-3"))
-        except SpaceError as exc:
-            assert "inconsistent" in str(exc)
-        else:
-            assert form == EXPL
+        # Triples are sampled in the certified standard basis, so the
+        # translated space (method "flag", whose Witt basis is not standard)
+        # gives the same form as the rest.
+        for name in sorted(set(SPACES) - {"not-self-dual"}):
+            assert three_form_from_wronskians(get_space(name)) == EXPL, name
+
+    def test_a_space_without_a_standard_basis_is_refused(self, monkeypatch):
+        undecided = g2.StandardBasisResult("undecided", detail="injected")
+        monkeypatch.setattr(g2, "find_standard_basis", lambda s: undecided)
+        with pytest.raises(SpaceError, match="no certified standard basis to sample in: injected"):
+            three_form_from_wronskians()
 
 
 class TestPhiMap:
@@ -374,6 +377,37 @@ def test_translate_certifies_with_flag_adapted_basis(steps, shift):
     wb = witt_basis(space)
     for k, v in enumerate(verdict.basis, 1):
         assert wb.coords(v)[k - 1 :] == [1] + [0] * (7 - k)
+
+
+# Ramification roots (T1, T2) of G2 seeds with y = (1, 1); each spans its
+# space at depth 8 under a budget of 12.
+_POPULATION_SEEDS = (((0,), (1,)), ((-1, 1), ()), ((), (-1, 1)), ((0,), ()))
+
+
+@pytest.fixture(scope="module")
+def population_spaces():
+    def product_of(roots):
+        out = Poly.one()
+        for r in roots:
+            out = out * Poly([-r, 1])
+        return out
+
+    spaces = []
+    for t1, t2 in _POPULATION_SEEDS:
+        seed = BetheTuple("G2", [Poly.one()] * 2, [product_of(t1), product_of(t2)])
+        spaces.append(space_from_population(population_bfs(seed, depth=8, max_nodes=12)))
+    return spaces
+
+
+@settings(deadline=None, max_examples=8)
+@given(index=st.integers(0, len(_POPULATION_SEEDS) - 1),
+       c=st.integers(-3, 3).filter(bool))
+def test_verdict_is_invariant_under_translation(population_spaces, index, c):
+    # x -> x + c preserves every condition check_ssd tests; only the route
+    # named in the reason ("direct" or "flag") may change.
+    space = population_spaces[index]
+    moved = PolySpace([p.translate(c) for p in space.basis])
+    assert check_ssd(moved).verdict == check_ssd(space).verdict
 
 
 def test_check_ssd_eliminates_each_system_once(monkeypatch):

@@ -18,6 +18,7 @@ from g2spaces.polynomials import (
     NotASquareError,
     Poly,
     RatFun,
+    WronskianTable,
     _iz_div,
     apply_log_factor,
     convolve,
@@ -25,7 +26,6 @@ from g2spaces.polynomials import (
     long_divide,
     perfect_square_root,
     poly_gcd,
-    poly_gcd_many,
     wronskian,
 )
 from g2spaces.scalars import QExt
@@ -175,6 +175,38 @@ def test_wronskian_matches_naive_oracle():
             assert wronskian(polys) == naive_wronskian(polys)
 
 
+@st.composite
+def wronskian_lists(draw):
+    """1 to 8 polynomials with Fraction coefficients, drawn with replacement
+    from zero and up to five polynomials of degree at most 5, so that zero,
+    repeated elements and equal degrees all occur."""
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    nonzero = st.lists(coeff, max_size=5).flatmap(
+        lambda low: coeff.filter(bool).map(lambda top: Poly(low + [top])))
+    pool = [Poly.zero()] + draw(st.lists(nonzero, min_size=1, max_size=5))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(wronskian_lists())
+def test_wronskian_table_matches_wronskian(polys):
+    table = WronskianTable(polys)
+    for k in range(1, len(polys) + 1):
+        level = table.level(k)
+        assert list(level) == list(combinations(range(len(polys)), k))
+        for subset, entry in level.items():
+            assert Poly(entry) * table.scale(subset) == wronskian([polys[i] for i in subset])
+
+
+def test_wronskian_table_levels_and_bounds():
+    table = WronskianTable([X * Fraction(1, 2), X**3, Poly.one()])
+    assert table.level(0) == {(): [1]}
+    # W(x/2, x^3) = x^3: the entry of the cleared list [0, 1] and its scale.
+    assert table.level(2)[0, 1] == [0, 0, 0, 2] and table.scale((0, 1)) == Fraction(1, 2)
+    with pytest.raises(ValueError):
+        table.level(4)
+
+
 def test_wronskian_arity_bounds():
     with pytest.raises(ValueError):
         wronskian([])
@@ -190,8 +222,6 @@ def test_poly_gcd():
     assert poly_gcd(Poly.zero(), Poly.zero()).is_zero()
     # Result is monic even when inputs are not.
     assert poly_gcd(2 * X, 3 * X) == X
-    assert poly_gcd_many([X**2, X**3, 2 * X]) == X
-    assert poly_gcd_many([X, Poly([1, 1])]) == Poly.one()
 
 
 def test_poly_gcd_random_products():

@@ -1,16 +1,18 @@
 """Spaces: canonical bases, ramification, duality, bilinear form, Witt bases."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from g2spaces import spaces
 from g2spaces.elimination import MPoly
 from g2spaces.linalg import solve, transpose
-from g2spaces.polynomials import Poly
+from g2spaces.fixtures import SPACES, get_space
+from g2spaces.polynomials import Poly, exact_div, poly_gcd, wronskian
 from g2spaces.scalars import QExt
 from g2spaces.spaces import (
     BasePointError,
@@ -115,6 +117,61 @@ def test_divided_wronskian_membership_guard():
     sp = degree_window_space()
     with pytest.raises(SpaceError):
         sp.divided_wronskian([X, X**7])
+
+
+def assert_wronskian_invariants_match_their_definitions(sp):
+    # U_k, the duals and the top constant read one table of subset
+    # Wronskians; here each is rebuilt from wronskian, poly_gcd and exact_div.
+    n = sp.dim
+    U = [None]
+    for k in range(1, n + 1):
+        g = Poly.zero()
+        for subset in combinations(sp.basis, k):
+            g = poly_gcd(g, wronskian(subset))
+        if k == 1 and g != Poly.one():
+            with pytest.raises(BasePointError):
+                sp.U(1)
+        else:
+            assert sp.U(k) == g
+        U.append(g)
+    for i, dual in enumerate(sp.duals()):
+        assert dual == exact_div(wronskian(sp.basis[:i] + sp.basis[i + 1 :]), U[n - 1])
+    assert sp.top_constant() == exact_div(wronskian(sp.basis), U[n]).coeff(0)
+    divided = sp.divided_wronskians(sp.basis, 3)
+    assert list(divided) == list(combinations(range(n), 3))
+    for subset, w in divided.items():
+        assert w == sp.divided_wronskian([sp.basis[i] for i in subset])
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+@settings(max_examples=4, deadline=None)
+@given(st.fractions(min_value=-3, max_value=3, max_denominator=3))
+@example(0)
+@example(Fraction(1, 2))
+def test_wronskian_invariants_of_translated_fixtures(name, c):
+    # A fractional shift makes U_k non-monic over the integers.
+    assert_wronskian_invariants_match_their_definitions(
+        PolySpace([p.translate(c) for p in get_space(name).basis]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=1, max_size=5), min_size=3, max_size=6),
+       st.integers(-2, 2), st.integers(0, 2))
+def test_wronskian_invariants_of_random_spaces(rows, root, power):
+    # Every element shares the factor (x - root)^power, a base point when
+    # power > 0, and the gcds are rarely the first subset's Wronskian.
+    common = Poly([-root, 1]) ** power
+    sp = PolySpace([Poly(r) * common for r in rows if any(r)] or [common])
+    assume(sp.dim >= 3)
+    assert_wronskian_invariants_match_their_definitions(sp)
+
+
+def test_divided_wronskians_guards_like_divided_wronskian():
+    sp = degree_window_space()
+    with pytest.raises(SpaceError):
+        sp.divided_wronskians([X, X**7, Poly.one()], 2)
+    with pytest.raises(BasePointError):
+        PolySpace([X, X**2, X**3]).divided_wronskians([X, X**2], 1)
 
 
 def test_self_duality():
