@@ -2,8 +2,8 @@
 
 Polynomials are immutable dense coefficient tuples in ascending degree with
 no trailing zeros; the zero polynomial has degree -inf.  Heavy kernels
-(Wronskians, gcd) clear denominators and run over machine integers before
-restoring exact rational results.
+(Wronskians, gcd) clear denominators and run over Python's unbounded
+integers before restoring exact rational results.
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ class Poly:
 
     @classmethod
     def monomial(cls, k: int, c=1) -> "Poly":
+        if k < 0:
+            raise ValueError(f"negative monomial degree {k}")
         return cls((0,) * k + (c,))
 
     @classmethod
@@ -327,11 +329,6 @@ def _iz_trim(f: list[int]) -> list[int]:
         f.pop()
     return f
 
-def _iz_sub(f: list[int], g: list[int]) -> list[int]:
-    n = max(len(f), len(g))
-    out = [(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)]
-    return _iz_trim(out)
-
 def _iz_div(a: int, b: int) -> int:
     q, r = divmod(a, b)
     if r:
@@ -377,65 +374,8 @@ def _iz_gcd(a: list[int], b: list[int]) -> list[int]:
         a, b = b, _iz_primitive(_iz_trim(r))
     return a
 
-def _iz_bareiss_det(m: list[list[list[int]]]) -> list[int]:
-    """Fraction-free determinant of a matrix with Z[x] entries."""
-    n = len(m)
-    if n == 1:
-        return list(m[0][0])
-    a = [[list(e) for e in row] for row in m]
-    sign = 1
-    prev = [1]
-    for r in range(n - 1):
-        if not a[r][r]:
-            for i in range(r + 1, n):
-                if a[i][r]:
-                    a[r], a[i] = a[i], a[r]
-                    sign = -sign
-                    break
-            else:
-                return []
-        for i in range(r + 1, n):
-            for j in range(r + 1, n):
-                num = _iz_sub(convolve(a[i][j], a[r][r]), convolve(a[i][r], a[r][j]))
-                a[i][j] = _iz_exact_div(num, prev) if num else []
-            a[i][r] = []
-        prev = a[r][r]
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else [-c for c in det]
-
 
 # -- public operations -----------------------------------------------------
-
-
-def wronskian(polys) -> Poly:
-    """Wronskian determinant of 1 to 8 polynomials.
-
-    Row i holds the (i-1)-st derivatives, so a single polynomial is its own
-    Wronskian.  Computed fraction-free over Z[x] after clearing denominators.
-    """
-    polys = [Poly.lift(f) for f in polys]
-    k = len(polys)
-    if not 1 <= k <= 8:
-        raise ValueError(f"wronskian takes 1..8 polynomials, got {k}")
-    if k == 1:
-        return polys[0]
-    scale = Fraction(1)
-    ints = []
-    for f in polys:
-        iz, s = _int_clear(f.coeffs)
-        if not iz:
-            return Poly.zero()
-        ints.append(iz)
-        scale *= s
-    rows = []
-    for iz in ints:
-        derivs = [iz]
-        for _ in range(k - 1):
-            derivs.append(_iz_derivative(derivs[-1]))
-        rows.append(derivs)
-    # Entry (i, j) is the j-th derivative of polynomial i.
-    det = _iz_bareiss_det([[rows[i][j] for j in range(k)] for i in range(k)])
-    return Poly(det) * scale
 
 
 class WronskianTable:
@@ -447,8 +387,7 @@ class WronskianTable:
     use from level k - 1: the Laplace expansion along the last column
     (derivative k - 1) makes each entry a signed sum of k products of a
     (k - 1)-subset entry and one derivative, with no division.  All levels
-    of n polynomials take n * 2^(n-1) products.  For one dense determinant
-    ``wronskian`` stays faster.
+    of n polynomials take n * 2^(n-1) products.
     """
 
     def __init__(self, polys):
@@ -495,6 +434,20 @@ class WronskianTable:
         for i in subset:
             out *= self._scales[i]
         return out
+
+
+def wronskian(polys) -> Poly:
+    """Wronskian determinant of 1 to 8 polynomials.
+
+    Row i holds the (i-1)-st derivatives, so a single polynomial is its own
+    Wronskian.  It is the full entry of a ``WronskianTable`` times its scale.
+    """
+    polys = [Poly.lift(f) for f in polys]
+    k = len(polys)
+    if not 1 <= k <= 8:
+        raise ValueError(f"wronskian takes 1..8 polynomials, got {k}")
+    table, full = WronskianTable(polys), tuple(range(k))
+    return Poly(table.level(k)[full]) * table.scale(full)
 
 
 def poly_gcd(f, g) -> Poly:

@@ -21,7 +21,6 @@ from .polynomials import (
     _iz_gcd,
     _iz_primitive,
     exact_div,
-    wronskian,
 )
 
 
@@ -250,7 +249,7 @@ class PolySpace:
     def divided_wronskian(self, polys) -> Poly:
         """Wronskian of k space elements divided by the k-th divisor U_k."""
         polys = self._check_members(polys)
-        return exact_div(wronskian(polys), self.U(len(polys)))
+        return self._divided(WronskianTable(polys), tuple(range(len(polys))))
 
     def divided_wronskians(self, polys, k: int) -> dict[tuple[int, ...], Poly]:
         """Divided Wronskians of every k-subset of the space elements polys.

@@ -108,6 +108,13 @@ class TestPolyWronskian:
         assert code == 0
         assert json.loads(out) == {"wronskian": ["-1"]}
 
+    def test_eight_polynomials(self, capsys, tmp_path):
+        degrees = (0, 2, 3, 5, 7, 8, 10, 13)
+        path = write(tmp_path, "polys.json", [["0"] * d + ["1"] for d in degrees])
+        code, out, _ = run(capsys, "poly", "wronskian", path)
+        assert code == 0
+        assert out.strip() == "627683696640000000*x^20"
+
     def test_nine_polynomials_is_input_error(self, capsys, tmp_path):
         path = write(tmp_path, "polys.json", [["0"] * d + ["1"] for d in range(9)])
         code, out, err = run(capsys, "poly", "wronskian", path)

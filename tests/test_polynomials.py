@@ -5,6 +5,7 @@ import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, zip_longest
+from math import factorial, prod
 from operator import truediv
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from g2spaces.bethe import BetheTuple
 from g2spaces.elimination import MPoly
+from g2spaces.linalg import rank
 from g2spaces.polynomials import (
     InexactDivisionError,
     NotASquareError,
@@ -90,6 +92,8 @@ def test_construction_normalizes_trailing_zeros():
     assert Poly.zero().degree == float("-inf")
     assert Poly.monomial(3).degree == 3
     assert Poly.monomial(2, Fraction(1, 2)).coeffs == (0, 0, Fraction(1, 2))
+    with pytest.raises(ValueError, match="negative monomial degree"):
+        Poly.monomial(-1)
 
 
 def test_hash_is_the_coefficient_hash_and_poly_stays_immutable():
@@ -156,6 +160,14 @@ def test_wronskian_frozen_values():
     # Repeated entry kills the determinant.
     assert wronskian([X, X]).is_zero()
     assert wronskian([Poly.zero(), X]).is_zero()
+    # Eight polynomials, the most the Wronskian takes.
+    # W(x^d_1, ..., x^d_k) = prod_{i<j} (d_j - d_i) * x^(sum(d) - k(k-1)/2).
+    degrees = (0, 2, 3, 5, 7, 8, 10, 13)
+    w = wronskian([X**d for d in degrees])
+    assert w == 627683696640000000 * X**20
+    assert w.lc == prod(dj - di for di, dj in combinations(degrees, 2))
+    # The divided powers x^j/j! give a unitriangular matrix.
+    assert wronskian([X**j * Fraction(1, factorial(j)) for j in range(8)]) == Poly.one()
 
 
 def test_wronskian_of_monomial_seven_tuple():
@@ -189,13 +201,23 @@ def wronskian_lists(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(wronskian_lists())
-def test_wronskian_table_matches_wronskian(polys):
+def test_wronskian_table_matches_naive_oracle(polys):
+    # Two oracles that share no code with the table: the Wronskian of
+    # polynomials vanishes exactly when they are linearly dependent, and the
+    # cofactor expansion gives its value.  The expansion costs k!, so it runs
+    # on independent subsets of size at most 5; the pool spans at most five
+    # dimensions, so every larger subset is dependent.
     table = WronskianTable(polys)
     for k in range(1, len(polys) + 1):
         level = table.level(k)
         assert list(level) == list(combinations(range(len(polys)), k))
         for subset, entry in level.items():
-            assert Poly(entry) * table.scale(subset) == wronskian([polys[i] for i in subset])
+            members = [polys[i] for i in subset]
+            independent = rank([[f.coeff(j) for j in range(6)] for f in members]) == k
+            assert bool(entry) == independent
+            if independent:
+                assert k <= 5
+                assert Poly(entry) * table.scale(subset) == naive_wronskian(members)
 
 
 def test_wronskian_table_levels_and_bounds():

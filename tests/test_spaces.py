@@ -107,6 +107,12 @@ def test_monomial_space_ramification():
     assert [str(t) for t in sp13.ramification] == ["1", "x", "1", "1", "x", "1"]
 
 
+def test_monomial_space_refuses_a_negative_exponent():
+    # With a = -1 the first exponent is -1, and x^-1 is no polynomial.
+    with pytest.raises(ValueError, match="negative monomial degree"):
+        monomial_space(1, 2, a=-1)
+
+
 def test_base_point_detection():
     sp = PolySpace([X, X**2, X**3])
     with pytest.raises(BasePointError):
@@ -120,8 +126,10 @@ def test_divided_wronskian_membership_guard():
 
 
 def assert_wronskian_invariants_match_their_definitions(sp):
-    # U_k, the duals and the top constant read one table of subset
-    # Wronskians; here each is rebuilt from wronskian, poly_gcd and exact_div.
+    # U_k, the duals and the top constant read the space's one cached table
+    # of subset Wronskians; here each is rebuilt subset by subset from
+    # wronskian, poly_gcd and exact_div.  wronskian is itself a fresh table,
+    # whose entries test_polynomials checks against a cofactor oracle.
     n = sp.dim
     U = [None]
     for k in range(1, n + 1):
