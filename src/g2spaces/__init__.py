@@ -18,6 +18,7 @@ from .polynomials import (
     RatFun,
     wronskian,
     poly_gcd,
+    coprime,
     exact_div,
     perfect_square_root,
     apply_log_factor,
@@ -90,6 +91,7 @@ from .bethe import (
     fertility_solve,
     genericity_defect,
     is_generic,
+    kernel_operator,
     population_bfs,
     reproduction_rhs,
     shifted_orbit,

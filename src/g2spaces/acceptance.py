@@ -10,7 +10,7 @@ from functools import lru_cache
 
 from .bethe import (
     a_tuple,
-    apply_D,
+    kernel_operator,
     population_bfs,
     shifted_orbit,
     space_from_population,
@@ -110,9 +110,9 @@ def criterion_4():
         return False, "span differs from the degree window"
     if space.degrees != (0, 1, 2, 3, 4, 5, 6):
         return False, f"basis degrees {space.degrees}"
-    yA, T = a_tuple(pop.seed)
+    D = kernel_operator(*a_tuple(pop.seed))
     for member in pop.members:
-        if not apply_D(yA, T, member.polys[0]).is_zero():
+        if not D(member.polys[0]).is_zero():
             return False, f"first coordinate of {member} not annihilated"
     return True, f"{len(pop.members)} members span exactly the degree window"
 

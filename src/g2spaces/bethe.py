@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import solve
-from .polynomials import Poly, RatFun, _int_clear, apply_log_factor, poly_gcd
+from .polynomials import Poly, RatFun, _int_clear, coprime
 from .spaces import PolySpace, SpaceError
 
 F = Fraction
@@ -101,18 +101,33 @@ class BetheTuple:
         )
 
 
-def genericity_defect(t: BetheTuple) -> str | None:
+def _genericity_conditions(n: int):
+    """Each genericity condition on n coordinates: (coordinates, reason).
+
+    One 0-based coordinate means it has no multiple root; two adjacent ones
+    mean they are coprime.
+    """
+    for k in range(n):
+        yield (k,), f"coordinate {k + 1} has multiple roots"
+    for k in range(n - 1):
+        yield (k, k + 1), f"coordinates {k + 1} and {k + 2} share a root"
+
+
+def genericity_defect(t: BetheTuple, involving=None) -> str | None:
     """Why t is not generic, or None when it is.
 
     Generic means no coordinate has a multiple root and adjacent
-    coordinates are coprime; the first violation found is named.
+    coordinates are coprime; the first violation found is named.  With
+    ``involving`` a predicate on 0-based coordinate tuples, only the
+    conditions it accepts are checked.
     """
-    for idx, p in enumerate(t.polys, 1):
-        if not poly_gcd(p, p.derivative()).is_constant():
-            return f"coordinate {idx} has multiple roots"
-    for idx, (a, b) in enumerate(zip(t.polys, t.polys[1:]), 1):
-        if not poly_gcd(a, b).is_constant():
-            return f"coordinates {idx} and {idx + 1} share a root"
+    for coords, reason in _genericity_conditions(len(t.polys)):
+        if involving is not None and not involving(coords):
+            continue
+        f = t.polys[coords[0]]
+        g = t.polys[coords[1]] if len(coords) == 2 else f.derivative()
+        if not coprime(f, g):
+            return reason
     return None
 
 
@@ -183,10 +198,12 @@ def descendants(t: BetheTuple, i: int) -> tuple[BetheTuple, ...]:
 
     Samples the affine partner family at a fixed parameter set; the
     parameter-zero member carries the family's distinguished degree.
-    Infertile directions yield the empty tuple.
+    Infertile directions yield the empty tuple.  A child differs from t
+    only in coordinate i, so the genericity conditions away from it are
+    checked once on t and only those on it for each child.
     """
     family = fertility_solve(t.polys[i - 1], reproduction_rhs(t, i))
-    if family is None:
+    if family is None or genericity_defect(t, lambda coords: i - 1 not in coords):
         return ()
     out, seen = [], set()
     for c in _PARAMS:
@@ -194,7 +211,7 @@ def descendants(t: BetheTuple, i: int) -> tuple[BetheTuple, ...]:
         if q.is_zero():
             continue
         child = t.replace(i, q)
-        if child.key() in seen or not is_generic(child):
+        if child.key() in seen or genericity_defect(child, lambda coords: i - 1 in coords):
             continue
         seen.add(child.key())
         out.append(child)
@@ -299,13 +316,15 @@ def a_tuple(t: BetheTuple) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
     return (y1, y2, y1 * y1, y1 * y1, y2, y1), (T1, T2, T1, T1, T2, T1)
 
 
-def apply_D(yA, T, f) -> RatFun:
-    """Apply the seventh-order kernel operator for the given tuple data.
+def kernel_operator(yA, T):
+    """The seventh-order kernel operator for the given tuple data, as a map
+    from a polynomial or rational function to the reduced ``RatFun`` image.
 
     The operator is the right-to-left composition of the factors
     d/dx - (log u_i)' with u_i = y_(7-i) T_1 ... T_(6-i) / y_(6-i) for
     i = 6, ..., 0, reading y_0 = y_7 = 1.  With all data 1 it reduces to
-    the seventh derivative.
+    the seventh derivative.  The seven logarithmic derivatives depend only
+    on the data, so they are built once here.
     """
     yA = [Poly.lift(p) for p in yA]
     T = [Poly.lift(p) for p in T]
@@ -315,13 +334,26 @@ def apply_D(yA, T, f) -> RatFun:
     def y(k: int) -> Poly:
         return yA[k - 1] if 1 <= k <= 6 else Poly.one()
 
-    g = RatFun.lift(f)
+    log_derivs = []
     for i in range(6, -1, -1):
         num = y(7 - i)
         for s in range(1, 7 - i):
             num = num * T[s - 1]
-        g = apply_log_factor(g, RatFun(num, y(6 - i)))
-    return g
+        u = RatFun(num, y(6 - i))
+        log_derivs.append(u.derivative() / u)
+
+    def D(f) -> RatFun:
+        g = RatFun.lift(f)
+        for log_deriv in log_derivs:
+            g = g.derivative() - log_deriv * g
+        return g
+
+    return D
+
+
+def apply_D(yA, T, f) -> RatFun:
+    """Apply the seventh-order kernel operator of ``kernel_operator`` once."""
+    return kernel_operator(yA, T)(f)
 
 
 def space_from_population(pop: Population) -> PolySpace:
@@ -333,9 +365,9 @@ def space_from_population(pop: Population) -> PolySpace:
     space = PolySpace(pop.first_coordinates())
     if space.dim != 7:
         raise SpaceError(f"population spans {space.dim} dimensions; explore deeper")
-    yA, T = a_tuple(pop.seed)
+    D = kernel_operator(*a_tuple(pop.seed))
     for b in space.basis:
-        if not apply_D(yA, T, b).is_zero():
+        if not D(b).is_zero():
             raise SpaceError(f"kernel operator does not annihilate {b}")
     return space
 

@@ -3,7 +3,8 @@
 Polynomials are immutable dense coefficient tuples in ascending degree with
 no trailing zeros; the zero polynomial has degree -inf.  Heavy kernels
 (Wronskians, gcd) clear denominators and run over Python's unbounded
-integers before restoring exact rational results.
+integers before restoring exact rational results; coprimality is first
+tried mod a prime, where a constant gcd is a proof.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class Poly:
         return len(self.coeffs) <= 1
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        if self.is_zero() or self.lc == 1:
             return self
         return self * (1 / self.lc)
 
@@ -375,6 +376,29 @@ def _iz_gcd(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
+_P = 2**31 - 1  # the prime of the modular coprimality test
+
+
+def _gfp_gcd_degree(a: list[int], b: list[int]) -> int:
+    """Degree of gcd(a, b) in GF(_P)[x]; entries reduced, b nonzero.
+
+    Euclid with one modular inverse per remainder step: b is made monic,
+    then each top coefficient of the remainder is its own quotient digit.
+    """
+    a = _iz_trim(a)
+    while b:
+        inv = pow(b[-1], -1, _P)
+        b = [v * inv % _P for v in b]
+        n = len(b) - 1
+        for k in range(len(a) - 1, n - 1, -1):
+            c = a[k]
+            if c:
+                for j in range(n):
+                    a[k - n + j] = (a[k - n + j] - c * b[j]) % _P
+        a, b = b, _iz_trim(a[:n])
+    return len(a) - 1
+
+
 # -- public operations -----------------------------------------------------
 
 
@@ -460,6 +484,32 @@ def poly_gcd(f, g) -> Poly:
     a, _ = _int_clear(f.coeffs)
     b, _ = _int_clear(g.coeffs)
     return Poly(_iz_gcd(a, b)).monic()
+
+
+def coprime(f, g) -> bool:
+    """Whether gcd(f, g) is constant, as ``poly_gcd(f, g).is_constant()``.
+
+    Exact, and decided mod p = 2^31 - 1 where that is a proof: a common
+    factor of the primitive integer forms a and b divides both in Z[x]
+    (Gauss's lemma), so when p does not divide the leading coefficient of
+    one of them it keeps its degree mod p, and a constant gcd mod p rules
+    it out.  Otherwise (p divides both
+    leading coefficients, or the gcd mod p is not constant) the exact gcd
+    over Z decides.  A zero polynomial is coprime only to constants, zero
+    included.
+    """
+    f, g = Poly.lift(f), Poly.lift(g)
+    if f.is_zero() or g.is_zero():
+        return f.is_constant() and g.is_constant()
+    if f.is_constant() or g.is_constant():
+        return True
+    a, _ = _int_clear(f.coeffs)
+    b, _ = _int_clear(g.coeffs)
+    if a[-1] % _P == 0:
+        a, b = b, a
+    if a[-1] % _P and _gfp_gcd_degree([v % _P for v in b], [v % _P for v in a]) == 0:
+        return True
+    return len(_iz_gcd(a, b)) == 1
 
 
 def exact_div(f, g) -> Poly:

@@ -1,6 +1,7 @@
 """Tests for tuple reproduction, populations, and weight bookkeeping."""
 
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,6 +20,7 @@ from g2spaces.bethe import (
     fertility_solve,
     genericity_defect,
     is_generic,
+    kernel_operator,
     population_bfs,
     reproduction_rhs,
     shifted_orbit,
@@ -29,7 +31,7 @@ from g2spaces.bethe import (
 )
 from g2spaces.fixtures import get_seed
 from g2spaces.g2 import check_ssd
-from g2spaces.polynomials import Poly, exact_div, wronskian
+from g2spaces.polynomials import Poly, RatFun, apply_log_factor, exact_div, wronskian
 from g2spaces.spaces import SpaceError, degree_window_space, monomial_space, witt_basis
 
 ONE = Poly.one()
@@ -252,6 +254,84 @@ class TestDescendants:
         best = degree_increasing_descendant(t, 1)
         assert best.polys[0].degree == 1
 
+    def test_non_generic_parent_keeps_only_children_that_mend_it(self):
+        # x^2 has a double root at 0, which x shares.  Direction 2 keeps
+        # x^2; direction 1 replaces it by the partners -1/2 + c x^2.
+        t = BetheTuple("G2", [X * X, X], [ONE, ONE])
+        assert descendants(t, 2) == ()
+        kids = descendants(t, 1)
+        assert kids == full_filter_descendants(t, 1)
+        half, quarter = Poly.constant(F(1, 2)), Poly.constant(F(1, 4))
+        assert [k.polys[0] for k in kids] == [ONE, X * X - half, X * X + half, X * X - quarter]
+
+
+def full_filter_descendants(t, i):
+    """The sampled partners filtered by the full genericity test of each child."""
+    family = fertility_solve(t.polys[i - 1], reproduction_rhs(t, i))
+    if family is None:
+        return ()
+    out, seen = [], set()
+    for c in _PARAMS:
+        q = family.member(c)
+        if q.is_zero():
+            continue
+        child = t.replace(i, q)
+        if child.key() in seen or not is_generic(child):
+            continue
+        seen.add(child.key())
+        out.append(child)
+    return tuple(out)
+
+
+# Products of a few factors from a small pool, so that multiple and shared
+# roots, and with them non-generic tuples, are common; and small random
+# integer polynomials, which are mostly generic.
+LINEAR = [X - r for r in range(-3, 4)]
+FACTORS = LINEAR + [X * X + ONE, X * X - 2]
+coordinates = st.one_of(
+    st.lists(st.sampled_from(FACTORS), max_size=2).map(lambda fs: prod(fs, start=ONE)),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=4).filter(any).map(Poly),
+)
+ramification = st.lists(st.sampled_from(FACTORS), max_size=2).map(lambda fs: prod(fs, start=ONE))
+
+
+@st.composite
+def bethe_tuples(draw, kinds=("A6", "C3", "G2")):
+    """Tuples of every kind.  Some are built so that reproducing can mend a
+    double root: coordinate j is (x - r)^2, its T entry vanishes at r and
+    every other coordinate has degree at most 1, so that direction j is
+    often fertile."""
+    kind = draw(st.sampled_from(kinds))
+    n = len(bethe._CARTAN[kind])
+    T = draw(st.lists(ramification, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        polys = draw(st.lists(st.sampled_from([ONE, *LINEAR]), min_size=n, max_size=n))
+        j, r = draw(st.integers(0, n - 1)), draw(st.integers(-3, 3))
+        polys[j], T[j] = (X - r) ** 2, X - r
+    else:
+        polys = draw(st.lists(coordinates, min_size=n, max_size=n))
+    return BetheTuple(kind, polys, T)
+
+
+@settings(max_examples=80, deadline=None)
+@given(bethe_tuples())
+def test_descendants_equal_the_full_genericity_filter(t):
+    for i in range(1, len(t.polys) + 1):
+        assert descendants(t, i) == full_filter_descendants(t, i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bethe_tuples(kinds=("G2",)))
+def test_reproducing_up_and_back_recovers_the_seed(seed):
+    # When the new coordinate q has higher degree than y, reproducing back
+    # solves an ansatz of degree deg y whose only solutions are multiples
+    # of y, so the parameter-zero partner is the seed's coordinate again.
+    assume(is_generic(seed))
+    for i in (1, 2):
+        for child in descendants(seed, i):
+            if child.polys[i - 1].degree > seed.polys[i - 1].degree:
+                assert seed in descendants(child, i)
+
 
 class TestPopulation:
     DEGREE_PAIRS = {
@@ -341,6 +421,39 @@ class TestKernelOperator:
     def test_bad_lengths_rejected(self):
         with pytest.raises(ValueError):
             apply_D([ONE] * 5, [ONE] * 6, X)
+
+
+def factor_by_factor_D(yA, T, f):
+    """The kernel operator applied one log factor at a time, each rebuilt."""
+
+    def y(k):
+        return yA[k - 1] if 1 <= k <= 6 else ONE
+
+    g = RatFun.lift(f)
+    for i in range(6, -1, -1):
+        g = apply_log_factor(g, RatFun(prod(T[: 6 - i], start=y(7 - i)), y(6 - i)))
+    return g
+
+
+def test_kernel_operator_matches_apply_D(pop, pop_space):
+    # The data and inputs of TestKernelOperator, plus inputs the operator
+    # does not annihilate, through one operator built per data set.
+    ones = [ONE] * 6
+    shifted = a_tuple(BetheTuple("G2", [X - ONE, X * X + ONE], [X, X + ONE]))
+    cases = [(ones, ones, [Poly.monomial(6), Poly.monomial(7), Poly.monomial(9)])]
+    for member in (pop.members[0], pop.members[5], pop.members[-1]):
+        cases.append((*a_tuple(member), [*pop_space.basis, Poly.monomial(7), X**8 + X]))
+    cases.append((*shifted, [ONE, X**3 - 2, Poly.monomial(7)]))
+    for yA, T, fs in cases:
+        D = kernel_operator(yA, T)
+        for f in fs:
+            assert D(f) == apply_D(yA, T, f) == factor_by_factor_D(yA, T, f)
+    assert kernel_operator(ones, ones)(Poly.monomial(7)) == RatFun(Poly.constant(5040))
+    for bad in (([ONE] * 5, ones), (ones, [ONE] * 7)):
+        with pytest.raises(ValueError, match="six coordinates and six T entries"):
+            kernel_operator(*bad)
+        with pytest.raises(ValueError, match="six coordinates and six T entries"):
+            apply_D(*bad, X)
 
 
 class TestMonomialSeeds:

@@ -311,7 +311,7 @@ class TestFlags:
         assert y2 == Poly.one()
 
 
-@settings(deadline=None, max_examples=6)
+@settings(deadline=None, max_examples=8)
 @given(rng=st.randoms(use_true_random=False))
 def test_random_g2_flag_pair_repopulates_deg6(rng):
     # The paper's bridge: an isotropic v, the kernel of the form contracted

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from g2spaces import polynomials
 from g2spaces.bethe import BetheTuple
 from g2spaces.elimination import MPoly
 from g2spaces.linalg import rank
@@ -22,8 +23,10 @@ from g2spaces.polynomials import (
     RatFun,
     WronskianTable,
     _iz_div,
+    _iz_gcd,
     apply_log_factor,
     convolve,
+    coprime,
     exact_div,
     long_divide,
     perfect_square_root,
@@ -254,6 +257,65 @@ def test_poly_gcd_random_products():
         b = rand_poly(rng, rng.randint(0, 3))
         g = poly_gcd(common * a, common * b)
         assert exact_div(g, poly_gcd(g, common.monic())).degree == poly_gcd(a, b).degree
+
+
+P31 = 2**31 - 1
+gcd_polys = st.lists(
+    st.fractions(min_value=-6, max_value=6, max_denominator=4), max_size=5
+).map(Poly)
+
+
+@st.composite
+def coprime_pairs(draw):
+    """Random pairs, pairs sharing a factor, and a polynomial with its derivative."""
+    f, g = draw(gcd_polys), draw(gcd_polys)
+    shape = draw(st.sampled_from(["random", "shared", "derivative"]))
+    if shape == "shared":
+        h = draw(gcd_polys)
+        f, g = f * h, g * h
+    elif shape == "derivative":
+        g = f.derivative()
+    return f, g
+
+
+@settings(max_examples=150, deadline=None)
+@given(coprime_pairs())
+def test_coprime_is_a_constant_gcd(pair):
+    f, g = pair
+    assert coprime(f, g) == poly_gcd(f, g).is_constant()
+    assert coprime(g, f) == coprime(f, g)
+
+
+nonzero_ints = st.integers(-9, 9).filter(bool)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.tuples(nonzero_ints, st.lists(st.integers(-9, 9), max_size=3), st.integers(1, 3)),
+    st.tuples(nonzero_ints, st.lists(st.integers(-9, 9), max_size=3), st.integers(1, 3)),
+)
+def test_coprime_falls_back_when_p_divides_both_leading_coefficients(fspec, gspec):
+    # A nonzero constant term of at most 9 keeps m*p on top after clearing
+    # the content, so mod p both polynomials lose their top degree, the
+    # modular gcd proves nothing and the exact gcd decides.
+    f, g = (Poly([c0, *mid, m * P31]) for c0, mid, m in (fspec, gspec))
+    pairs = [(f, g), (f * (X - 1), g * (X - 1))]
+    expected = [poly_gcd(a, b).is_constant() for a, b in pairs]
+    exact = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polynomials, "_iz_gcd", lambda a, b: exact.append(1) or _iz_gcd(a, b))
+        assert [coprime(a, b) for a, b in pairs] == expected
+    assert len(exact) == 2 and expected[1] is False
+
+
+def test_coprime_zero_and_constants():
+    three = Poly.constant(3)
+    assert coprime(Poly.zero(), Poly.zero())
+    assert coprime(Poly.zero(), three) and coprime(three, Poly.zero())
+    assert not coprime(Poly.zero(), X) and not coprime(X + 1, Poly.zero())
+    assert coprime(three, X**2 + 1) and coprime(X, Poly.one())
+    assert not coprime(2 * X + 2, X**2 - 1)
+    assert coprime(X**2 - 2, X**2 + 2)
 
 
 def test_exact_div():
