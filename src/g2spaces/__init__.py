@@ -15,7 +15,9 @@ __version__ = "0.1.0"
 from .scalars import QExt, SQRT2, rational_part, qext_sqrt, rational_sqrt
 from .polynomials import (
     Poly,
+    ProductTable,
     RatFun,
+    WronskianTable,
     wronskian,
     poly_gcd,
     coprime,

@@ -2,11 +2,14 @@
 
 Exit codes: 0 on full success, 1 when a mathematical check fails or a
 verdict is negative, 2 on malformed input, 3 on an internal error, which
-prints one ``internal error: <Type>: <message>`` line on stderr.
+prints one ``internal error: <Type>: <message>`` line on stderr.  When the
+reader closes standard output early the command prints nothing more and
+exits 141, as a process killed by SIGPIPE does.
 """
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -618,10 +621,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE (13)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader closed standard output (| head); nothing went wrong.
+        # What is still buffered goes to devnull, so the exit flush is silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

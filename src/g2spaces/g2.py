@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .linalg import kernel, rank, same_span, solve
-from .polynomials import NotASquareError, Poly, _int_clear, perfect_square_root
+from .polynomials import NotASquareError, Poly, ProductTable, _int_clear, perfect_square_root
 from .scalars import rational_part
 from .spaces import (
     BasePointError,
@@ -366,13 +366,9 @@ def quadratic_of_phi(n: list[list[Fraction]], vectors) -> Poly:
 
     The products commute, so the sum runs over k <= l with the coefficient
     N_kl + N_lk off the diagonal; that holds for any N, symmetric or not."""
-    out = Poly.zero()
-    for k in range(7):
-        for l in range(k, 7):
-            c = n[k][l] if k == l else n[k][l] + n[l][k]
-            if c:
-                out = out + vectors[k] * vectors[l] * c
-    return out
+    return ProductTable(vectors).combine(
+        ((k, l), n[k][l] if k == l else n[k][l] + n[l][k]) for k in range(7) for l in range(k, 7)
+    )
 
 
 def three_form_of_phi(n: list[list[Fraction]]) -> Fraction:
@@ -392,12 +388,19 @@ class StandardBasisReport:
     failures: list
 
 
+def _table_terms(key, index):
+    """The table's terms for the triple key with slot a at index[a - 1] of a
+    ``ProductTable``; a slot at None is zero and drops its terms."""
+    return [
+        ((index[a - 1], index[b - 1]), coeff)
+        for (a, b), coeff in WRONSKIAN_TABLE[key]
+        if index[a - 1] is not None and index[b - 1] is not None
+    ]
+
+
 def table_quadratic(vs, key) -> Poly:
     """The table's quadratic for the triple key, evaluated on the vectors vs."""
-    want = Poly.zero()
-    for (a, b), coeff in WRONSKIAN_TABLE[key]:
-        want = want + vs[a - 1] * vs[b - 1] * coeff
-    return want
+    return ProductTable(vs).combine(_table_terms(key, range(len(vs))))
 
 
 def verify_standard_basis(space: PolySpace, vectors) -> StandardBasisReport:
@@ -415,15 +418,16 @@ def verify_standard_basis(space: PolySpace, vectors) -> StandardBasisReport:
             failures.append(("membership", i + 1))
     if failures:
         return StandardBasisReport(False, failures)
-    if rank([space.coords(v) for v in vs]) != 7:
+    coords = [space.coords(v) for v in vs]
+    if rank(coords) != 7:
         return StandardBasisReport(False, [("dependent", None)])
-    B = space.bilinear_form()
-    for i, j, got, want in _witt_gram_mismatches(B, vs):
+    for i, j, got, want in _witt_gram_mismatches(space.bilinear_form().pair, coords):
         failures.append(("pairing", (i, j), got, want))
     divided = space.divided_wronskians(vs, 3)
+    products = ProductTable(vs)
     for key in sorted(WRONSKIAN_TABLE):
         got = divided[tuple(i - 1 for i in key)]
-        want = table_quadratic(vs, key)
+        want = products.combine(_table_terms(key, range(7)))
         if got != want:
             failures.append(("table", key, got, want))
     return StandardBasisReport(not failures, failures)
@@ -455,12 +459,15 @@ def find_standard_basis(space: PolySpace) -> StandardBasisResult:
     vs: list[Poly] = []
     coords: list[list[Fraction]] = []
     wronskians: dict[tuple[int, int], Poly] = {}
+    products = ProductTable(w)
+    index: list[int] = []  # the products index of each slot so far
 
     def residual(j: int, i: int) -> Poly:
         """Identity (1, j, k) minus its table side, with w_i in slot k = len(vs) + 1."""
         if (j, i) not in wronskians:
             wronskians[j, i] = space.divided_wronskian([vs[0], vs[j - 1], w[i - 1]])
-        return wronskians[j, i] - table_quadratic(vs + [w[i - 1]], (1, j, len(vs) + 1))
+        table_side = products.combine(_table_terms((1, j, len(vs) + 1), index + [i - 1]))
+        return wronskians[j, i] - table_side
 
     for k in range(1, 8):
         pairings = [witt_form(_unit(k), coords[j - 1]) - _witt_pair(j, k) for j in range(1, k)]
@@ -468,11 +475,12 @@ def find_standard_basis(space: PolySpace) -> StandardBasisResult:
         if not any(pairings) and all(r.is_zero() for r in identities):
             vs.append(w[k - 1])
             coords.append(_unit(k))
+            index.append(k - 1)
             continue
         rows = [[witt_form(_unit(i), coords[j - 1]) for i in range(1, k)] for j in range(1, k)]
         rhs = [-r for r in pairings]
         for j, at_wk in zip(range(2, k), identities):
-            offset = table_quadratic(vs + [Poly.zero()], (1, j, k))
+            offset = products.combine(_table_terms((1, j, k), index + [None]))
             cols = [residual(j, i) + offset for i in range(1, k)]
             for d in range(max(len(p.coeffs) for p in cols + [at_wk])):
                 rows.append([p.coeff(d) for p in cols])
@@ -482,6 +490,7 @@ def find_standard_basis(space: PolySpace) -> StandardBasisResult:
             return StandardBasisResult("undecided", detail=f"slot {k} equations are inconsistent")
         coords.append(sol[0] + _unit(k)[k - 1 :])
         vs.append(wb.element(coords[-1]))
+        index.append(products.add(vs[-1]))
     if not verify_standard_basis(space, vs).ok:
         return StandardBasisResult("undecided", detail="flag-adapted basis failed certification")
     method = "direct" if tuple(vs) == w else "flag"

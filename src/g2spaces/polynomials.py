@@ -460,6 +460,51 @@ class WronskianTable:
         return out
 
 
+class ProductTable:
+    """Quadratic combinations of a growing list of polynomials.
+
+    Each polynomial is cleared to a primitive integer list times a rational
+    scale, as in ``WronskianTable``; the integer product of a pair is
+    computed once, on first use.  ``combine`` sums its terms as one integer
+    combination of those products over one common denominator.
+    """
+
+    def __init__(self, polys=()):
+        self._ints: list[list[int]] = []
+        self._scales: list[Fraction] = []
+        self._products: dict[tuple[int, int], list[int]] = {}
+        for f in polys:
+            self.add(f)
+
+    def add(self, f) -> int:
+        """Append the polynomial f and return its index."""
+        ints, scale = _int_clear(Poly.lift(f).coeffs)
+        self._ints.append(ints)
+        self._scales.append(scale)
+        return len(self._ints) - 1
+
+    def combine(self, terms) -> Poly:
+        """The polynomial sum of c * f_a * f_b over the terms ((a, b), c)."""
+        weights, den = [], 1
+        for (a, b), c in terms:
+            w = c * self._scales[a] * self._scales[b]
+            if w:
+                weights.append((min(a, b), max(a, b), w))
+                den = den * w.denominator // int_gcd(den, w.denominator)
+        acc: list[int] = []
+        for a, b, w in weights:
+            product = self._products.get((a, b))
+            if product is None:
+                product = self._products[a, b] = convolve(self._ints[a], self._ints[b])
+            if len(acc) < len(product):
+                acc.extend([0] * (len(product) - len(acc)))
+            n = w.numerator * (den // w.denominator)
+            for i, v in enumerate(product):
+                if v:
+                    acc[i] += n * v
+        return Poly([Fraction(v, den) for v in acc])
+
+
 def wronskian(polys) -> Poly:
     """Wronskian determinant of 1 to 8 polynomials.
 

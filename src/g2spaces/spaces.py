@@ -85,7 +85,11 @@ def witt_form(x, y):
 
 
 def _witt_gram_mismatches(B, vectors):
-    """Yield (i, j, got, want), 1 <= i <= j <= 7, where B misses the Witt pairing."""
+    """Yield (i, j, got, want), 1 <= i <= j <= 7, where B misses the Witt pairing.
+
+    B pairs whatever the vectors are: polynomials through a ``BilinearForm``,
+    or their coordinate vectors through its ``pair``.
+    """
     for i in range(1, 8):
         for j in range(i, 8):
             got = B(vectors[i - 1], vectors[j - 1])
@@ -341,12 +345,17 @@ class BilinearForm:
         cg = self.space.coords(g)
         if cf is None or cg is None:
             raise SpaceError("form arguments must lie in the space")
+        return self.pair(cf, cg)
+
+    def pair(self, x, y) -> Fraction:
+        """The form on two coordinate vectors in the canonical basis."""
         out = Fraction(0)
-        for i, a in enumerate(cf):
+        for i, a in enumerate(x):
             if a:
-                for j, b in enumerate(cg):
+                row = self.gram[i]
+                for j, b in enumerate(y):
                     if b:
-                        out += a * b * self.gram[i][j]
+                        out += a * b * row[j]
         return out
 
 
@@ -409,39 +418,48 @@ def witt_basis(space: PolySpace) -> WittBasis:
     pairs, then rescales by the standard leading coefficients.  Raises
     WittGramError when the rescaled pairing is not exactly antidiagonal,
     which cannot happen for a space carrying a standard basis.
+
+    The reduction runs on coordinate vectors in the canonical basis, paired
+    through the Gram matrix; a vector's degree is that of its highest
+    nonzero coordinate, since the basis degrees are distinct.
     """
     if space.dim != 7:
         raise DegreePatternError(f"need dimension 7, got {space.dim}")
-    B = space.bilinear_form()
+    B = space.bilinear_form().pair
     a, m, n = degree_steps(space)
-    pool = list(space.basis)
+    pool = [[Fraction(int(i == j)) for j in range(7)] for i in range(7)]
     pairs = []
+
+    def degree(x) -> int:
+        return space.degrees[max(i for i, c in enumerate(x) if c)]
 
     def reduce_elt(x):
         for p, q, t in pairs:
-            x = x - p * (B(x, q) / t) - q * (B(x, p) / t)
+            cp, cq = B(x, q) / t, B(x, p) / t
+            x = [u - cp * v - cq * w for u, v, w in zip(x, p, q)]
         return x
 
     for _ in range(3):
         low = reduce_elt(pool.pop(0))
         high = reduce_elt(pool.pop())
         if B(low, low) != 0:
-            raise WittGramError(f"degree-{low.degree} vector is not isotropic")
+            raise WittGramError(f"degree-{degree(low)} vector is not isotropic")
         t = B(low, high)
         if t == 0:
             raise WittGramError(
-                f"degenerate pairing between degrees {low.degree} and {high.degree}"
+                f"degenerate pairing between degrees {degree(low)} and {degree(high)}"
             )
-        high = high - low * (B(high, high) / (2 * t))
+        c = B(high, high) / (2 * t)
+        high = [u - c * v for u, v in zip(high, low)]
         pairs.append((low, high, t))
     mid = reduce_elt(pool.pop())
 
     monic = [pairs[0][0], pairs[1][0], pairs[2][0], mid, pairs[2][1], pairs[1][1], pairs[0][1]]
     scales = witt_scales(m, n)
-    vectors = [p * s for p, s in zip(monic, scales)]
-    for i, j, got, want in _witt_gram_mismatches(B, vectors):
+    coords = [[c * s for c in x] for x, s in zip(monic, scales)]
+    for i, j, got, want in _witt_gram_mismatches(B, coords):
         raise WittGramError(f"pairing of rescaled vectors ({i}, {j}) is {got}, expected {want}")
-    return WittBasis(space, vectors, a, m, n)
+    return WittBasis(space, [space.element(x) for x in coords], a, m, n)
 
 
 def monomial_space(m: int, n: int, a: int = 0) -> PolySpace:

@@ -362,6 +362,29 @@ class TestVerifyCommands:
         assert proc.returncode == 0, proc.stderr
         assert expect in proc.stdout
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_a_closed_stdout_is_not_an_internal_error(self, unbuffered):
+        # The read end is closed before the command starts, so its first
+        # write to standard output fails, however little it prints: at once
+        # when unbuffered, at the first flush when buffered.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "g2spaces.cli", "bethe", "reproduce",
+                 "--fixture", "monomial-2-3", "--json"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=180,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == ""
+
     def test_internal_error_exits_3_with_one_line(self, capsys, monkeypatch):
         def broken(args):
             raise RuntimeError("injected")

@@ -9,7 +9,7 @@ from math import factorial, prod
 from operator import truediv
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from g2spaces import polynomials
@@ -20,6 +20,7 @@ from g2spaces.polynomials import (
     InexactDivisionError,
     NotASquareError,
     Poly,
+    ProductTable,
     RatFun,
     WronskianTable,
     _iz_div,
@@ -221,6 +222,40 @@ def test_wronskian_table_matches_naive_oracle(polys):
             if independent:
                 assert k <= 5
                 assert Poly(entry) * table.scale(subset) == naive_wronskian(members)
+
+
+@st.composite
+def product_terms(draw):
+    """Up to five polynomials of degree at most 4, zero and constants among
+    them, and up to eight terms ((a, b), c) over their indices, in either
+    order and possibly repeated, with zero coefficients among them."""
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    polys = draw(st.lists(st.lists(coeff, max_size=5).map(Poly), min_size=1, max_size=5))
+    index = st.integers(0, len(polys) - 1)
+    terms = draw(st.lists(st.tuples(st.tuples(index, index), coeff), max_size=8))
+    return polys, terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_terms())
+@example(([X * Fraction(1, 2), Poly.one()], []))
+@example(([Poly.zero(), Poly.constant(Fraction(3, 2))], [((1, 0), 2), ((0, 0), 1), ((1, 1), 1)]))
+@example(([X * Fraction(1, 3) + Fraction(1, 2), X**2 * 4],
+          [((1, 0), Fraction(1, 2)), ((0, 1), Fraction(-1, 2)), ((1, 1), 0), ((1, 1), Fraction(1, 5))]))
+def test_product_table_combine_matches_the_fraction_sum(case):
+    # Half the polynomials come through the constructor and half through
+    # add, so a table that grows is checked too.
+    polys, terms = case
+    half = len(polys) // 2
+    table = ProductTable(polys[:half])
+    assert [table.add(f) for f in polys[half:]] == list(range(half, len(polys)))
+    want = Poly.zero()
+    for (a, b), c in terms:
+        want = want + polys[a] * polys[b] * c
+    for _ in range(2):  # the second pass reads the products of the first
+        got = table.combine(terms)
+        assert got == want
+        assert all(type(c) is Fraction for c in got.coeffs)
 
 
 def test_wronskian_table_levels_and_bounds():

@@ -16,10 +16,13 @@ from g2spaces.polynomials import Poly, exact_div, poly_gcd, wronskian
 from g2spaces.scalars import QExt
 from g2spaces.spaces import (
     BasePointError,
+    BilinearForm,
     DegreePatternError,
     NotSelfDualError,
     PolySpace,
     SpaceError,
+    WittGramError,
+    _witt_gram_mismatches,
     _witt_pair,
     canonicalize,
     degree_steps,
@@ -259,6 +262,102 @@ def test_witt_basis_translated_space():
     B = sp.bilinear_form()
     assert B(wb.vectors[0], wb.vectors[6]) == 1
     assert B(wb.vectors[3], wb.vectors[3]) == -1
+
+
+def _witt_basis_oracle(space):
+    """The Witt vectors by Gram-Schmidt on polynomials, paired through the
+    ``BilinearForm``: the reduction that ``witt_basis`` runs in coordinates,
+    with the same errors."""
+    B = space.bilinear_form()
+    a, m, n = degree_steps(space)
+    pool = list(space.basis)
+    pairs = []
+
+    def reduce_elt(x):
+        for p, q, t in pairs:
+            x = x - p * (B(x, q) / t) - q * (B(x, p) / t)
+        return x
+
+    for _ in range(3):
+        low = reduce_elt(pool.pop(0))
+        high = reduce_elt(pool.pop())
+        if B(low, low) != 0:
+            raise WittGramError(f"degree-{low.degree} vector is not isotropic")
+        t = B(low, high)
+        if t == 0:
+            raise WittGramError(
+                f"degenerate pairing between degrees {low.degree} and {high.degree}"
+            )
+        high = high - low * (B(high, high) / (2 * t))
+        pairs.append((low, high, t))
+    mid = reduce_elt(pool.pop())
+    monic = [pairs[0][0], pairs[1][0], pairs[2][0], mid, pairs[2][1], pairs[1][1], pairs[0][1]]
+    vectors = [p * s for p, s in zip(monic, witt_scales(m, n))]
+    for i, j, got, want in _witt_gram_mismatches(B, vectors):
+        raise WittGramError(f"pairing of rescaled vectors ({i}, {j}) is {got}, expected {want}")
+    return (a, m, n), tuple(vectors)
+
+
+def _outcome(build, space):
+    """What build(space) gives: its result, or the type and text of its error."""
+    try:
+        return build(space)
+    except SpaceError as exc:
+        return type(exc), str(exc)
+
+
+def _witt_basis_result(space):
+    wb = witt_basis(space)
+    return (wb.a, wb.m, wb.n), wb.vectors
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_witt_basis_matches_the_polynomial_oracle_on_fixtures(name):
+    space = get_space(name)
+    assert _outcome(_witt_basis_result, space) == _outcome(_witt_basis_oracle, space)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.sampled_from([(1, 2), (1, 3), (2, 3), (1, 4)]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+def test_witt_basis_matches_the_polynomial_oracle_on_translates(steps, c):
+    space = PolySpace([p.translate(c) for p in monomial_space(*steps).basis])
+    assert _witt_basis_result(space) == _witt_basis_oracle(space)
+
+
+def _corrupt_lowest(gram):
+    gram[0][0] += 1  # the lowest vector is no longer isotropic
+
+
+def _corrupt_outer(gram):
+    gram[0][-1] = gram[-1][0] = F(0)  # the lowest and highest vectors no longer pair
+
+
+def _corrupt_scale(gram):
+    for row in gram:
+        row[:] = [2 * e for e in row]  # every rescaled pairing doubles
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_corrupt_lowest, "degree-0 vector is not isotropic"),
+        (_corrupt_outer, "degenerate pairing between degrees 0 and 8"),
+        (_corrupt_scale, "pairing of rescaled vectors (1, 7) is 2, expected 1"),
+    ],
+)
+def test_witt_gram_errors_keep_their_text(monkeypatch, corrupt, message):
+    # monomial-1-3 has degrees 0, 1, 3, 4, 5, 7, 8, so a message's degrees
+    # are read off the basis, not the coordinate positions.
+    sp = monomial_space(1, 3)
+    gram = [list(row) for row in sp.bilinear_form().gram]
+    corrupt(gram)
+    form = BilinearForm(sp, gram)
+    monkeypatch.setattr(sp, "bilinear_form", lambda: form)
+    got = _outcome(_witt_basis_result, sp)
+    assert got == _outcome(_witt_basis_oracle, sp) == (WittGramError, message)
 
 
 small_rats = st.fractions(min_value=-4, max_value=4, max_denominator=3)
