@@ -16,11 +16,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .linalg import kernel, rank, same_span, solve
 from .polynomials import NotASquareError, Poly, ProductTable, _int_clear, perfect_square_root
-from .scalars import rational_part
+from .scalars import rat, reject_booleans
 from .spaces import (
     BasePointError,
     DegreePatternError,
@@ -36,7 +37,7 @@ from .spaces import (
     witt_basis,
     witt_form,
 )
-from .spin import P_SPINOR, clifford_act, hatB, unit_images
+from .spin import _witt_coords, unit_words
 
 F = Fraction
 H = F(1, 2)
@@ -124,9 +125,10 @@ class ThreeForm:
         clean = {}
         for key, val in entries.items():
             i, j, k = key
-            if not i < j < k:
-                raise ValueError(f"keys must be ascending triples, got {key}")
-            val = F(val)
+            if not 1 <= i < j < k <= 7:
+                raise ValueError(f"keys must be ascending triples in 1..7, got {key}")
+            reject_booleans((val,))
+            val = rat(val)
             if val:
                 clean[(i, j, k)] = val
         self.entries = clean
@@ -170,19 +172,10 @@ def _unit(i: int) -> list[Fraction]:
 
 
 def three_form_from_spin() -> ThreeForm:
-    """The three-form through the spinor route.
-
-    w(a, b, c) = -1/2 hatB(a.(b.(c.p)), p) for the reference spinor p;
-    every value on coordinate triples must come out rational.
-    """
-    entries = {}
-    for i, j, k in combinations(range(1, 8), 3):
-        s = clifford_act(_unit(k), P_SPINOR)
-        s = clifford_act(_unit(j), s)
-        s = clifford_act(_unit(i), s)
-        val = -H * hatB(s, P_SPINOR)
-        entries[(i, j, k)] = rational_part(val)
-    return ThreeForm(entries)
+    """The three-form through the spinor route: w(a, b, c) = -1/2 hatB(a.(b.(c.p)), p)
+    for the reference spinor p, read off the m = n = 0 values of spin.unit_words."""
+    return ThreeForm({(i, j, k): F(-v, 32) for (i, j, k), values in unit_words().items()
+                      if i < j < k for m, _, v in values if m == 0})
 
 
 def _rand_fraction(rng) -> Fraction:
@@ -334,31 +327,34 @@ def three_form_from_wronskians(space: PolySpace | None = None) -> ThreeForm:
     raise SpaceError("could not collect enough independent special triples")
 
 
-# The seven images v_i P of the reference spinor, fixed for every phi_map.
-_P_IMAGES = unit_images(P_SPINOR)
+@lru_cache(maxsize=1)
+def _phi_table() -> tuple:
+    """(x, y, z, ((7k + l, N_kl), ...)), 0-based, for N = 16 phi_map(v_x, v_y, v_z):
+    N_kl is (-1)^(k+l) times the spin.unit_words value of (x, y, z) at (7 - k, 7 - l)."""
+    table = []
+    for (x, y, z), values in unit_words().items():
+        entries = tuple({(7 * (7 - a) + 7 - b, (-1) ** (m + n) * v)
+                         for m, n, v in values if m for a, b in ((m, n), (n, m))})
+        table.append((x - 1, y - 1, z - 1, entries))
+    return tuple(table)
 
 
 def phi_map(a, b, c) -> list[list[Fraction]]:
     """Symmetric square image of a wedge of three Witt-coordinate vectors.
 
     Returns the 7x7 symmetric rational matrix N with
-    m(phi) = sum N_kl v_k v_l over standard basis polynomials."""
-    ps = _P_IMAGES
-
-    def abc(s):
-        return clifford_act(a, clifford_act(b, clifford_act(c, s)))
-
-    images = [abc(p) for p in ps]
-    r = [[None] * 7 for _ in range(7)]
-    for i in range(7):
-        for j in range(i, 7):
-            r[i][j] = r[j][i] = H * (hatB(images[i], ps[j]) + hatB(images[j], ps[i]))
-    n = [[F(0)] * 7 for _ in range(7)]
-    for k in range(1, 8):
-        for l in range(1, 8):
-            val = ((-1) ** (k + l)) * r[(8 - k) - 1][(8 - l) - 1]
-            n[k - 1][l - 1] = rational_part(val)
-    return n
+    m(phi) = sum N_kl v_k v_l over standard basis polynomials.  N is
+    trilinear, so it is the integer contraction of the cleared coordinates
+    with _phi_table, divided once."""
+    (xs, sa), (ys, sb), (zs, sc) = [_int_clear(list(map(rat, _witt_coords(v)))) for v in (a, b, c)]
+    acc = [0] * 49
+    for x, y, z, entries in _phi_table():
+        w = xs[x] * ys[y] * zs[z]
+        if w:
+            for i, value in entries:
+                acc[i] += w * value
+    scale = sa * sb * sc / 16
+    return [[acc[7 * k + l] * scale for l in range(7)] for k in range(7)]
 
 
 def quadratic_of_phi(n: list[list[Fraction]], vectors) -> Poly:

@@ -7,10 +7,10 @@ arithmetic and truthiness works.  ``rref``, which every other elimination
 here goes through, eliminates a rational matrix (only int and Fraction
 entries) fraction-free over the integers and divides once at the end; a
 matrix with any other entry, such as QExt, is eliminated over its field,
-with int entries lifted to Fraction.  Either way the results are
-Fractions (or field elements), never floats.  Pivoting is deterministic:
-columns are scanned left to right and the first row with a nonzero entry
-is chosen, so reduced forms, kernels, and solutions are canonical.
+with int entries lifted to Fraction; a float entry raises TypeError.  Either
+way the results are Fractions or field elements, never floats.  Pivoting is
+deterministic: columns are scanned left to right and the first row with a
+nonzero entry is chosen, so reduced forms, kernels, solutions are canonical.
 """
 
 from __future__ import annotations
@@ -27,7 +27,9 @@ def transpose(cols) -> list[list]:
 def _field_rref(rows) -> tuple[list[list], list[int]]:
     """Gauss-Jordan over the entries' own field, normalising each pivot row
     before clearing its column.  Int (and bool) entries are lifted to
-    Fraction first, so that dividing by an int pivot stays exact."""
+    Fraction first, so dividing by an int pivot stays exact; floats raise."""
+    if any(isinstance(e, float) for r in rows for e in r):
+        raise TypeError("float entry in an exact elimination")
     rows = [[Fraction(e) if isinstance(e, int) else e for e in r] for r in rows]
     pivots = []
     r = 0

@@ -315,14 +315,14 @@ def formal_sqrt(f, top, divide) -> list:
 
 
 def _int_clear(coeffs) -> tuple[list[int], Fraction]:
-    """Primitive integer list and scale with coeffs = scale * ints."""
+    """Primitive integer list and scale with coeffs = scale * ints (zeros stay zeros)."""
     if not coeffs:
         return [], Fraction(1)
     den = 1
     for c in coeffs:
         den = den * c.denominator // int_gcd(den, c.denominator)
     ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    g = _iz_content(ints)
+    g = _iz_content(ints) or 1
     return [v // g for v in ints], Fraction(g, den)
 
 def _iz_trim(f: list[int]) -> list[int]:

@@ -15,6 +15,8 @@ a Witt basis; B(v_i, v_j) = (-1)^(i+1) delta(i+j, 8).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 
 from .linalg import kernel, rank, solve, transpose
 from .scalars import HALF_SQRT2, QExt, qext_sqrt
@@ -182,19 +184,55 @@ def unit_images(s: Spinor) -> list[Spinor]:
 P_SPINOR = Spinor([0, 0, 0, HALF_SQRT2, 1, 0, 0, 0])
 
 
+# hatB pairs spinor coordinate j with _PAIRING[j] = (partner, sign); unit_words reads it too.
+_PAIRING = ((7, 1), (5, -1), (6, 1), (4, -1), (3, -1), (1, -1), (2, 1), (0, 1))
+
+
 def hatB(s: Spinor, t: Spinor) -> QExt:
     """The symmetric invariant bilinear form on spinors."""
     a, b = s.parts, t.parts
-    return (
-        a[0] * b[7]
-        + a[7] * b[0]
-        + a[2] * b[6]
-        + a[6] * b[2]
-        - a[3] * b[4]
-        - a[4] * b[3]
-        - a[5] * b[1]
-        - a[1] * b[5]
-    )
+    terms = (a[j] * b[k] if sign > 0 else -(a[j] * b[k]) for j, (k, sign) in enumerate(_PAIRING))
+    return sum(terms, _ZERO)
+
+
+@lru_cache(maxsize=1)
+def unit_words() -> dict:
+    """Maps each word (x, y, z) of Witt unit vectors with a nonzero value to its
+    values (m, n, 8 (hatB(w s_m, s_n) + hatB(w s_n, s_m))), m <= n, for w = v_x v_y
+    v_z, s_0 = P (paired with itself only) and s_m = v_m P.  Generator entries are
+    sign * (sqrt(2)/2)^e, so index and sign arithmetic builds the words, no QExt;
+    a sqrt(2) part in a value raises SpinError, also under -O.  Shared: only read it."""
+    signed = {1: (1, 0), -1: (-1, 0), HALF_SQRT2: (1, 1), -HALF_SQRT2: (-1, 1)}
+    gens = [{j: (r, *signed[v]) for r, j, v in entries} for entries in _GENERATORS]
+
+    def act(i, terms):
+        """Apply v_i to (coordinate, sign, e) terms."""
+        g = gens[i - 1]
+        return [(g[j][0], s * g[j][1], e + g[j][2]) for j, s, e in terms if j in g]
+
+    spinors = [[(j, *signed[c]) for j, c in enumerate(P_SPINOR.parts) if c]]
+    spinors += [act(i, spinors[0]) for i in range(1, 8)]
+    # The spinors under v_y v_z, shared by the seven words (x, y, z).
+    suffixes = {(y, z): [act(y, act(z, ts)) for ts in spinors]
+                for y, z in product(range(1, 8), repeat=2)}
+    # holders[p][k]: the s_n with coordinate k, signed for the pairing, n == 0
+    # exactly when p; P with v_n P is not read, and not always rational.
+    holders = [[[(n, s * _PAIRING[k][1], e) for n, ts in enumerate(spinors) if (n == 0) == p
+                 for j, s, e in ts if j == k] for k in range(8)] for p in (False, True)]
+    words = {}
+    for word in product(range(1, 8), repeat=3):
+        acc = {}
+        for m, terms in enumerate(suffixes[word[1:]]):
+            for j, s, e in act(word[0], terms):
+                for n, t, f in holders[m == 0][_PAIRING[j][0]]:
+                    # (sqrt(2)/2)^(2h) = 2^(3-h)/8, (sqrt(2)/2)^(2h+1) = 2^(3-h) sqrt(2)/16.
+                    for key in ((m, n), (n, m)):
+                        acc.setdefault(key, [0, 0])[(e + f) & 1] += s * t << (3 - (e + f) // 2)
+        if any(q for _, q in acc.values()):
+            raise SpinError(f"word {word} pairs to a value with a sqrt(2) part")
+        if values := tuple((m, n, r) for (m, n), (r, _) in acc.items() if r and m <= n):
+            words[word] = values
+    return words
 
 
 def hatQ(s: Spinor) -> QExt:

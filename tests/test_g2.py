@@ -38,6 +38,7 @@ from g2spaces.fixtures import (
 from g2spaces.g2 import _flip, _unit, symmetry_image
 from g2spaces.linalg import rank, same_span, transpose
 from g2spaces.polynomials import NotASquareError
+from g2spaces.scalars import QExt, rational_part
 from g2spaces.spaces import (
     PolySpace,
     SpaceError,
@@ -46,6 +47,7 @@ from g2spaces.spaces import (
     monomial_space,
     witt_basis,
 )
+from g2spaces.spin import P_SPINOR, clifford_act, hatB, unit_images
 
 
 def unit(i):
@@ -80,6 +82,18 @@ class TestThreeForm:
         two_a = [2 * x for x in a]
         assert EXPL.evaluate(two_a, b, c) == F(1, 2)
         assert EXPL.evaluate(a, a, c) == 0
+
+    def test_values_are_exact_and_keys_checked(self):
+        assert ThreeForm({(1, 2, 3): "1/3", (2, 3, 4): QExt(F(1, 2))}).entries == {
+            (1, 2, 3): F(1, 3), (2, 3, 4): F(1, 2)}
+        for bad in (0.1, True, False):
+            with pytest.raises(TypeError):
+                ThreeForm({(1, 2, 3): bad})
+        with pytest.raises(ValueError, match="not rational"):
+            ThreeForm({(1, 2, 3): QExt(0, 1)})
+        for key in ((0, 1, 2), (5, 6, 8), (2, 1, 3)):
+            with pytest.raises(ValueError, match="ascending triples in 1..7"):
+                ThreeForm({key: 1})
 
     def test_flip_preserves_form(self):
         for i in range(1, 8):
@@ -197,6 +211,84 @@ class TestPhiMap:
         assert quadratic_of_phi(n, wb.vectors) == full
 
 
+def phi_map_oracle(a, b, c):
+    """phi_map through clifford_act and hatB over Q(sqrt 2): the images
+    a.(b.(c.(v_i P))), paired against v_j P and read off as rationals."""
+    ps = unit_images(P_SPINOR)
+    images = [clifford_act(a, clifford_act(b, clifford_act(c, p))) for p in ps]
+    r = [[F(1, 2) * (hatB(images[i], ps[j]) + hatB(images[j], ps[i])) for j in range(7)]
+         for i in range(7)]
+    return [[rational_part((-1) ** (k + l) * r[6 - k][6 - l]) for l in range(7)] for k in range(7)]
+
+
+def three_form_oracle():
+    """The spin three-form through clifford_act: -1/2 hatB(v_i.(v_j.(v_k.P)), P)."""
+    entries = {}
+    for i, j, k in combinations(range(1, 8), 3):
+        s = clifford_act(unit(i), clifford_act(unit(j), clifford_act(unit(k), P_SPINOR)))
+        entries[(i, j, k)] = rational_part(F(-1, 2) * hatB(s, P_SPINOR))
+    return ThreeForm(entries)
+
+
+witt_coords = st.lists(
+    st.one_of(st.just(F(0)), st.fractions(min_value=-6, max_value=6, max_denominator=4)),
+    min_size=7, max_size=7,
+)
+
+
+class TestUnitWordTable:
+    @settings(deadline=None, max_examples=40)
+    @given(witt_coords, witt_coords, witt_coords)
+    def test_phi_map_equals_the_clifford_loop(self, a, b, c):
+        assert phi_map(a, b, c) == phi_map_oracle(a, b, c)
+
+    def test_phi_map_equals_the_clifford_loop_on_unit_triples(self):
+        for key in [(1, 4, 7), (4, 4, 4), (7, 1, 4), (2, 6, 4), (5, 5, 3), (3, 1, 2)]:
+            vectors = [unit(i) for i in key]
+            assert phi_map(*vectors) == phi_map_oracle(*vectors)
+
+    def test_three_form_from_spin_equals_the_clifford_loop(self):
+        assert three_form_from_spin() == three_form_oracle()
+        assert three_form_from_spin() is not three_form_from_spin()
+
+    def test_table_shape(self):
+        table = g2._phi_table()
+        values = {F(v, 16) for *_, entries in table for _, v in entries}
+        assert len(table) == 210
+        assert sum(len(entries) for *_, entries in table) == 606
+        assert values == {F(1), F(-1), F(1, 2), F(-1, 2), F(1, 4), F(-1, 4)}
+        assert table is g2._phi_table()
+
+
+class TestPhiMapInputs:
+    def test_a_vector_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="vector needs 7 Witt coordinates, got 6"):
+            phi_map(unit(1), unit(2), [F(1)] * 6)
+        with pytest.raises(ValueError, match="vector needs 7 Witt coordinates, got 8"):
+            phi_map([F(1)] * 8, unit(2), unit(3))
+
+    def test_a_float_coordinate(self):
+        with pytest.raises(TypeError):
+            phi_map(unit(1), [0.5, 0, 0, 0, 0, 0, 0], unit(3))
+
+    def test_a_sqrt2_coordinate(self):
+        with pytest.raises(ValueError, match="not rational"):
+            phi_map(unit(1), unit(4), [QExt(0, 1), 0, 0, 0, 0, 0, 0])
+
+    def test_rational_qext_int_and_string_coordinates(self):
+        want = phi_map(unit(1), unit(4), unit(7))
+        assert phi_map([QExt(1), 0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0], unit(7)) == want
+        assert phi_map(unit(1), unit(4), ["0"] * 6 + ["1"]) == want
+
+    def test_a_zero_vector_gives_the_zero_matrix(self):
+        zero = [F(0)] * 7
+        for vectors in ([zero, unit(2), unit(3)], [unit(1), zero, unit(3)],
+                        [unit(1), unit(4), [0] * 7], [zero] * 3):
+            n = phi_map(*vectors)
+            assert n == [[0] * 7 for _ in range(7)]
+            assert all(type(x) is F for row in n for x in row)
+
+
 class TestKernel2Form:
     def test_kernel_at_first_slot(self):
         ker = kernel_2form(EXPL, unit(1))
@@ -207,6 +299,10 @@ class TestKernel2Form:
         ker = kernel_2form(EXPL, unit(4))
         assert len(ker) == 1
         assert same_span(ker, [unit(4)])
+
+    def test_a_float_vector_is_refused(self):
+        with pytest.raises(TypeError, match="float"):
+            kernel_2form(three_form_from_spin(), [0.5, 0, 0, 0, 0, 0, 0])
 
 
 class TestAssociatedTwoForm:

@@ -201,6 +201,15 @@ def test_mixed_qext_and_fraction_entries():
     assert pivots == [0] and red == [[1, QExt(0, 2)], [0, 0]]
 
 
+def test_a_float_entry_is_refused_on_the_field_path():
+    for m in ([[0.5, 1], [1, 0]], [[F(1), 0.0], [0.0, -0.0]], [[SQRT2, 0.5], [1, 2]]):
+        with pytest.raises(TypeError, match="float"):
+            rref(m)
+        with pytest.raises(TypeError, match="float"):
+            kernel(m)
+    assert rref([[True, 2], [F(1, 2), 1]]) == ([[1, 2], [0, 0]], [0])
+
+
 def test_rows_skipped_by_a_step_catch_up():
     # Row 0 has a zero in column 1 and row 2 zeros in columns 0 and 1, so
     # each sits out a step before its entry in column 2 is cleared.

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +113,49 @@ def test_sparse_action_matches_the_dense_matrices(v, parts):
     assert list(clifford_act(v, s)) == apply(spin._action_rows(v), parts)
     for i, image in enumerate(unit_images(s), start=1):
         assert list(image) == apply(action_matrix(i), parts)
+
+
+def test_hatB_reads_the_pairing_table():
+    # The pairing is a symmetric involution, and hatB is its explicit sum.
+    for j, (k, sign) in enumerate(spin._PAIRING):
+        assert spin._PAIRING[k] == (j, sign) and k != j
+    rng = random.Random(4)
+    for _ in range(10):
+        s, t = rand_spinor(rng), rand_spinor(rng)
+        a, b = s.parts, t.parts
+        want = (a[0] * b[7] + a[7] * b[0] + a[2] * b[6] + a[6] * b[2]
+                - a[3] * b[4] - a[4] * b[3] - a[5] * b[1] - a[1] * b[5])
+        assert hatB(s, t) == want
+
+
+def test_unit_words_are_the_clifford_pairings():
+    # Oracle: each word through clifford_act, paired by hatB over Q(sqrt 2),
+    # on P with P and on v_m P with v_n P, m <= n.
+    words = spin.unit_words()
+    assert len(words) == 210 and words is spin.unit_words()
+    spinors = [P_SPINOR] + unit_images(P_SPINOR)
+    pairs = [(0, 0)] + [(m, n) for m in range(1, 8) for n in range(m, 8)]
+    for x, y, z in product(range(1, 8), repeat=3):
+        values = {(m, n): v for m, n, v in words.get((x, y, z), ())}
+        assert set(values) <= set(pairs) and 0 not in values.values()
+        images = [clifford_act(unit(x), clifford_act(unit(y), clifford_act(unit(z), s)))
+                  for s in spinors]
+        for m, n in pairs:
+            want = hatB(images[m], spinors[n]) + hatB(images[n], spinors[m])
+            assert QExt(F(values.get((m, n), 0), 8)) == want
+
+
+def test_unit_words_refuse_a_sqrt2_part(monkeypatch):
+    # With v_1 scaled by sqrt(2)/2 some pairings are irrational; the build
+    # raises, with no assert, so also under python -O.
+    first = tuple((r, c, HALF_SQRT2 * v) for r, c, v in spin._GENERATORS[0])
+    monkeypatch.setattr(spin, "_GENERATORS", (first,) + spin._GENERATORS[1:])
+    spin.unit_words.cache_clear()
+    try:
+        with pytest.raises(SpinError, match=r"word \(1, 2, 3\) pairs to .* sqrt\(2\) part"):
+            spin.unit_words()
+    finally:
+        spin.unit_words.cache_clear()
 
 
 def test_hatQ_of_reference_spinor():
