@@ -23,7 +23,6 @@ from .polynomials import (
     coprime,
     exact_div,
     perfect_square_root,
-    apply_log_factor,
 )
 
 from .linalg import rref, kernel, solve

@@ -13,9 +13,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .linalg import solve
-from .polynomials import Poly, RatFun, _int_clear, coprime
+from .polynomials import Poly, RatFun, _int_clear, _iz_derivative, _iz_trim, convolve, coprime
+from .scalars import rat, reject_booleans
 from .spaces import PolySpace, SpaceError
 
 F = Fraction
@@ -144,7 +146,10 @@ class FertilityFamily:
     kernel: Poly
 
     def member(self, c) -> Poly:
-        return self.particular + self.kernel * F(c)
+        """The solution at parameter c, an int, string or Fraction; a float
+        or a boolean raises TypeError."""
+        reject_booleans((c,))
+        return self.particular + self.kernel * rat(c)
 
 
 def fertility_solve(y: Poly, rhs: Poly) -> FertilityFamily | None:
@@ -318,35 +323,78 @@ def a_tuple(t: BetheTuple) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
 
 def kernel_operator(yA, T):
     """The seventh-order kernel operator for the given tuple data, as a map
-    from a polynomial or rational function to the reduced ``RatFun`` image.
+    from a polynomial to the reduced ``RatFun`` image.
 
     The operator is the right-to-left composition of the factors
     d/dx - (log u_i)' with u_i = y_(7-i) T_1 ... T_(6-i) / y_(6-i) for
-    i = 6, ..., 0, reading y_0 = y_7 = 1.  With all data 1 it reduces to
-    the seventh derivative.  The seven logarithmic derivatives depend only
-    on the data, so they are built once here.
+    i = 6, ..., 0, reading y_0 = y_7 = 1; with all data constant it is the
+    seventh derivative.  It is expanded once, from the data alone, to
+    Q^-7 sum_k b_k d^k with integer polynomials b_k, where Q is the product
+    of the atoms, the distinct non-constant entries as primitive integer
+    lists, and (log u_i)' = A_i / Q.  Composing d - A/Q onto Q^-m sum b_k d^k
+    gives Q^-(m+1) sum ((Q b_k' - m Q' b_k - A b_k) d^k + Q b_k d^(k+1)), so
+    b_7 = Q^7.  Only a nonzero image is reduced.  Zero data raise
+    ZeroDivisionError.
     """
     yA = [Poly.lift(p) for p in yA]
     T = [Poly.lift(p) for p in T]
     if len(yA) != 6 or len(T) != 6:
         raise ValueError("the kernel operator needs six coordinates and six T entries")
+    if any(p.is_zero() for p in (*yA, *T)):
+        raise ZeroDivisionError("the kernel operator needs nonzero coordinates and T entries")
+    atoms: list[list[int]] = []
 
-    def y(k: int) -> Poly:
-        return yA[k - 1] if 1 <= k <= 6 else Poly.one()
+    def combine(terms) -> list[int]:
+        """The trimmed integer list sum of c * f over the terms (c, f)."""
+        out: list[int] = []
+        for c, f in terms:
+            if c:
+                out.extend([0] * (len(f) - len(out)))
+                for j, v in enumerate(f):
+                    out[j] += c * v
+        return _iz_trim(out)
 
-    log_derivs = []
-    for i in range(6, -1, -1):
-        num = y(7 - i)
-        for s in range(1, 7 - i):
-            num = num * T[s - 1]
-        u = RatFun(num, y(6 - i))
-        log_derivs.append(u.derivative() / u)
+    def atom(p: Poly) -> int | None:
+        if p.is_constant():
+            return None
+        ints, _ = _int_clear(p.coeffs)
+        if ints not in atoms:
+            atoms.append(ints)
+        return atoms.index(ints)
 
-    def D(f) -> RatFun:
-        g = RatFun.lift(f)
-        for log_deriv in log_derivs:
-            g = g.derivative() - log_deriv * g
-        return g
+    ys, ts = [None, *map(atom, yA), None], [atom(t) for t in T]
+    Q = reduce(convolve, atoms, [1])
+    dQ = _iz_derivative(Q)
+    # P' Q / P for each atom P, as a product.
+    cofactors = [reduce(convolve, atoms[:j] + atoms[j + 1 :], _iz_derivative(a))
+                 for j, a in enumerate(atoms)]
+    b = [[1]]
+    for m, i in enumerate(range(6, -1, -1)):
+        e = [0] * len(atoms)  # the exponent of each atom in u_i
+        for j, sign in ((ys[7 - i], 1), *((t, 1) for t in ts[: 6 - i]), (ys[6 - i], -1)):
+            if j is not None:
+                e[j] += sign
+        A = combine(zip(e, cofactors))
+        b = [
+            combine((
+                (1, convolve(Q, _iz_derivative(bk))),
+                (-m, convolve(dQ, bk)),
+                (-1, convolve(A, bk)),
+                (1, convolve(Q, b[k - 1]) if k else []),
+            ))
+            for k, bk in enumerate([*b, []])
+        ]
+
+    def D(f: Poly) -> RatFun:
+        ints, content = _int_clear(Poly.lift(f).coeffs)
+        terms = []
+        for bk in b:
+            terms.append((1, convolve(bk, ints)))
+            ints = _iz_derivative(ints)
+        image = combine(terms)
+        if not image:
+            return RatFun(Poly.zero())
+        return RatFun(Poly(image) * content, Poly(b[7]))
 
     return D
 

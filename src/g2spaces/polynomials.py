@@ -697,15 +697,3 @@ class RatFun:
             return str(self.num)
         return f"({self.num})/({self.den})"
 
-
-def apply_log_factor(g, u) -> RatFun:
-    """Apply the first-order factor (d/dx - (log u)') to g, i.e. g' - (u'/u) g.
-
-    u may be any nonzero rational function; the result is reduced.
-    """
-    g = RatFun.lift(g)
-    u = RatFun.lift(u)
-    if u.is_zero():
-        raise ZeroDivisionError("logarithmic derivative of zero")
-    log_deriv = u.derivative() / u
-    return g.derivative() - log_deriv * g

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from g2spaces import bethe
+from g2spaces import acceptance, bethe, polynomials
 from g2spaces.bethe import (
     _PARAMS,
     BetheTuple,
@@ -29,9 +29,9 @@ from g2spaces.bethe import (
     weight_at_infinity,
     weyl_dim_g2,
 )
-from g2spaces.fixtures import get_seed
+from g2spaces.fixtures import SEEDS, get_seed
 from g2spaces.g2 import check_ssd
-from g2spaces.polynomials import Poly, RatFun, apply_log_factor, exact_div, wronskian
+from g2spaces.polynomials import Poly, RatFun, exact_div, wronskian
 from g2spaces.spaces import SpaceError, degree_window_space, monomial_space, witt_basis
 
 ONE = Poly.one()
@@ -140,6 +140,15 @@ class TestFertility:
             fertility_solve(Poly.zero(), ONE)
         with pytest.raises(ValueError):
             fertility_solve(ONE, Poly.zero())
+
+    def test_member_takes_exact_parameters_only(self):
+        fam = fertility_solve(ONE, ONE)
+        assert fam.member(0) == fam.member(F(0)) == fam.member("0") == X
+        assert fam.member(-3) == fam.member(F(-3)) == fam.member("-3") == X - 3
+        assert fam.member(F(1, 2)) == fam.member("1/2") == X + F(1, 2)
+        for bad in (0.1, 1.0, True, False):
+            with pytest.raises(TypeError):
+                fam.member(bad)
 
 
 small_polys = st.lists(st.integers(-3, 3), min_size=1, max_size=9).map(Poly).filter(
@@ -422,6 +431,47 @@ class TestKernelOperator:
         with pytest.raises(ValueError):
             apply_D([ONE] * 5, [ONE] * 6, X)
 
+    def test_zero_data_refused(self):
+        data = [X, X + ONE, ONE, X * X, Poly.constant(3), X]
+        for k in (0, 2, 5):
+            zeroed = data[:k] + [Poly.zero()] + data[k + 1 :]
+            with pytest.raises(ZeroDivisionError):
+                kernel_operator(zeroed, data)
+            with pytest.raises(ZeroDivisionError):
+                kernel_operator(data, zeroed)
+
+    def test_only_polynomials_are_applied(self):
+        data = [X] * 6, [ONE] * 6
+        D = kernel_operator(*data)
+        assert D(F(1, 2)) == factor_by_factor_D(*data, F(1, 2)) != 0
+        with pytest.raises(TypeError):
+            D(RatFun(ONE, X))
+
+
+def apply_log_factor(g, u) -> RatFun:
+    """Apply the first-order factor (d/dx - (log u)') to g, i.e. g' - (u'/u) g.
+
+    u may be any nonzero rational function; the result is reduced.
+    """
+    g = RatFun.lift(g)
+    u = RatFun.lift(u)
+    if u.is_zero():
+        raise ZeroDivisionError("logarithmic derivative of zero")
+    log_deriv = u.derivative() / u
+    return g.derivative() - log_deriv * g
+
+
+def test_apply_log_factor():
+    # (d/dx - 1/x) x^2 = 2x - x = x
+    assert apply_log_factor(X**2, X) == RatFun(X)
+    # (d/dx - 1/x) x = 0: u is in the kernel of its own factor.
+    assert apply_log_factor(X, X).is_zero()
+    # Nontrivial denominator: (d/dx - 2/x) 1 = -2/x.
+    r = apply_log_factor(Poly.one(), X**2)
+    assert r == RatFun(Poly([-2]), X)
+    with pytest.raises(ZeroDivisionError):
+        apply_log_factor(X, Poly.zero())
+
 
 def factor_by_factor_D(yA, T, f):
     """The kernel operator applied one log factor at a time, each rebuilt."""
@@ -454,6 +504,47 @@ def test_kernel_operator_matches_apply_D(pop, pop_space):
             kernel_operator(*bad)
         with pytest.raises(ValueError, match="six coordinates and six T entries"):
             apply_D(*bad, X)
+
+
+# Entries for kernel operator data: non-monic and rational T entries, a
+# constant other than 1, and x, which a coordinate can equal.
+KERNEL_ENTRIES = [ONE, Poly.constant(3), X, X - ONE, 2 * X + ONE, X * F(1, 3), X * X + ONE]
+
+
+@st.composite
+def kernel_data(draw):
+    """A small G2, C3 or A6 tuple, whose widened data repeat entries."""
+    kind = draw(st.sampled_from(("G2", "C3", "A6")))
+    n = len(bethe._CARTAN[kind])
+    entries = st.lists(st.sampled_from(KERNEL_ENTRIES), min_size=n, max_size=n)
+    return BetheTuple(kind, draw(entries), draw(entries))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_data(), st.lists(small_polys, max_size=2))
+def test_kernel_operator_equals_the_factor_by_factor_oracle(t, others):
+    # y_1 and its partners q with W(y_1, q) = T_1 y_2 are in the kernel of
+    # the two innermost factors, hence of the operator, for any data.
+    yA, T = a_tuple(t)
+    members = [t.polys[0]]
+    family = fertility_solve(t.polys[0], reproduction_rhs(t, 1))
+    if family is not None:
+        members += [family.member(c) for c in _PARAMS]
+    D = kernel_operator(yA, T)
+    for f in members:
+        assert D(f).is_zero()
+    for f in [*members, *others, members[-1] + Poly.monomial(7)]:
+        assert D(f) == factor_by_factor_D(yA, T, f)
+
+
+def test_annihilation_builds_no_gcd(monkeypatch):
+    def refuse(f, g):
+        pytest.fail("poly_gcd ran during an annihilation check")
+
+    monkeypatch.setattr(polynomials, "poly_gcd", refuse)
+    for name in SEEDS:
+        assert space_from_population(population_bfs(get_seed(name), depth=6)).dim == 7
+    assert acceptance.criterion_4()[0]
 
 
 class TestMonomialSeeds:

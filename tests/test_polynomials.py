@@ -25,7 +25,6 @@ from g2spaces.polynomials import (
     WronskianTable,
     _iz_div,
     _iz_gcd,
-    apply_log_factor,
     convolve,
     coprime,
     exact_div,
@@ -448,18 +447,6 @@ def test_ratfun_arithmetic():
     assert RatFun(X).derivative() == RatFun(Poly.one())
     # (1/x)' = -1/x^2
     assert RatFun(Poly.one(), X).derivative() == RatFun(Poly([-1]), X**2)
-
-
-def test_apply_log_factor():
-    # (d/dx - 1/x) x^2 = 2x - x = x
-    assert apply_log_factor(X**2, X) == RatFun(X)
-    # (d/dx - 1/x) x = 0: u is in the kernel of its own factor.
-    assert apply_log_factor(X, X).is_zero()
-    # Nontrivial denominator: (d/dx - 2/x) 1 = -2/x.
-    r = apply_log_factor(Poly.one(), X**2)
-    assert r == RatFun(Poly([-2]), X)
-    with pytest.raises(ZeroDivisionError):
-        apply_log_factor(X, Poly.zero())
 
 
 def test_wronskian_identity_small():
