@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import reduce
 
 from .linalg import solve
-from .polynomials import Poly, RatFun, _int_clear, _iz_derivative, _iz_trim, convolve, coprime
-from .scalars import rat, reject_booleans
+from .polynomials import Poly, RatFun, _iz_derivative, convolve, coprime, lincomb
+from .scalars import _int_clear, rat, reject_booleans
 from .spaces import PolySpace, SpaceError
 
 F = Fraction
@@ -344,16 +344,6 @@ def kernel_operator(yA, T):
         raise ZeroDivisionError("the kernel operator needs nonzero coordinates and T entries")
     atoms: list[list[int]] = []
 
-    def combine(terms) -> list[int]:
-        """The trimmed integer list sum of c * f over the terms (c, f)."""
-        out: list[int] = []
-        for c, f in terms:
-            if c:
-                out.extend([0] * (len(f) - len(out)))
-                for j, v in enumerate(f):
-                    out[j] += c * v
-        return _iz_trim(out)
-
     def atom(p: Poly) -> int | None:
         if p.is_constant():
             return None
@@ -374,9 +364,9 @@ def kernel_operator(yA, T):
         for j, sign in ((ys[7 - i], 1), *((t, 1) for t in ts[: 6 - i]), (ys[6 - i], -1)):
             if j is not None:
                 e[j] += sign
-        A = combine(zip(e, cofactors))
+        A = lincomb(zip(e, cofactors))
         b = [
-            combine((
+            lincomb((
                 (1, convolve(Q, _iz_derivative(bk))),
                 (-m, convolve(dQ, bk)),
                 (-1, convolve(A, bk)),
@@ -391,7 +381,7 @@ def kernel_operator(yA, T):
         for bk in b:
             terms.append((1, convolve(bk, ints)))
             ints = _iz_derivative(ints)
-        image = combine(terms)
+        image = lincomb(terms)
         if not image:
             return RatFun(Poly.zero())
         return RatFun(Poly(image) * content, Poly(b[7]))

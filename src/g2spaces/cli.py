@@ -34,7 +34,7 @@ from .g2 import (
     flag_is_g2_isotropic,
     flag_to_pair,
     kernel_2form,
-    table_quadratic,
+    table_identities,
     three_form_from_spin,
     three_form_from_wronskians,
 )
@@ -458,10 +458,7 @@ def cmd_verify_table1(args) -> int:
     space = get_space("deg6")
     vs = factorial_basis()
     bad = []
-    divided = space.divided_wronskians(vs, 3)
-    for key in sorted(WRONSKIAN_TABLE):
-        got = divided[tuple(i - 1 for i in key)]
-        want = table_quadratic(vs, key)
+    for key, got, want in table_identities(space, vs):
         if key == corrupt:
             want = want + vs[0] * vs[0]
         if got != want:

@@ -17,11 +17,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .linalg import kernel, rank, same_span, solve
-from .polynomials import NotASquareError, Poly, ProductTable, _int_clear, perfect_square_root
-from .scalars import rat, reject_booleans
+from .polynomials import NotASquareError, Poly, ProductTable, perfect_square_root
+from .scalars import _int_clear, rat, reject_booleans
 from .spaces import (
     BasePointError,
     DegreePatternError,
@@ -132,28 +132,26 @@ class ThreeForm:
             if val:
                 clean[(i, j, k)] = val
         self.entries = clean
+        # Each nonzero value at every ordering of its triple, with the sign.
+        self.signed = {p: _perm_sign(p) * val for key, val in clean.items()
+                       for p in permutations(key)}
 
     def __call__(self, i: int, j: int, k: int) -> Fraction:
-        if len({i, j, k}) < 3:
-            return F(0)
-        key = tuple(sorted((i, j, k)))
-        sgn = _perm_sign((i, j, k))
-        return sgn * self.entries.get(key, F(0))
+        return self.signed.get((i, j, k), F(0))
 
     def evaluate(self, x, y, z) -> Fraction:
+        """The form on three vectors of seven rational Witt coordinates."""
+        x, y, z = ([rat(c) for c in _witt_coords(v)] for v in (x, y, z))
         minors = _minor_row((x, y, z), self.entries)
         return sum((w * m for w, m in zip(self.entries.values(), minors)), F(0))
 
     def matrix2(self, v) -> list[list[Fraction]]:
-        """The 7x7 alternating matrix of the contraction with v."""
+        """The 7x7 alternating matrix of the contraction with v, over nonzero values."""
+        v = _witt_coords(v)
         m = [[F(0)] * 7 for _ in range(7)]
-        for j in range(1, 8):
-            for k in range(1, 8):
-                acc = F(0)
-                for i in range(1, 8):
-                    if v[i - 1]:
-                        acc += v[i - 1] * self(i, j, k)
-                m[j - 1][k - 1] = acc
+        for (i, j, k), val in self.signed.items():
+            if v[i - 1]:
+                m[j - 1][k - 1] += v[i - 1] * val
         return m
 
     def __eq__(self, other):
@@ -394,9 +392,13 @@ def _table_terms(key, index):
     ]
 
 
-def table_quadratic(vs, key) -> Poly:
-    """The table's quadratic for the triple key, evaluated on the vectors vs."""
-    return ProductTable(vs).combine(_table_terms(key, range(len(vs))))
+def table_identities(space: PolySpace, vs):
+    """Yield (key, divided Wronskian, table quadratic) for the 35 triples of
+    ``WRONSKIAN_TABLE`` in sorted order, on seven members vs of the space."""
+    divided = space.divided_wronskians(vs, 3)
+    products = ProductTable(vs)
+    for key in sorted(WRONSKIAN_TABLE):
+        yield key, divided[tuple(i - 1 for i in key)], products.combine(_table_terms(key, range(7)))
 
 
 def verify_standard_basis(space: PolySpace, vectors) -> StandardBasisReport:
@@ -406,24 +408,17 @@ def verify_standard_basis(space: PolySpace, vectors) -> StandardBasisReport:
     membership.
     """
     vs = [Poly.lift(v) for v in vectors]
-    failures = []
     if len(vs) != 7:
         return StandardBasisReport(False, [("count", len(vs))])
-    for i, v in enumerate(vs):
-        if not space.contains(v):
-            failures.append(("membership", i + 1))
+    coords = [space.coords(v) for v in vs]
+    failures = [("membership", i + 1) for i, c in enumerate(coords) if c is None]
     if failures:
         return StandardBasisReport(False, failures)
-    coords = [space.coords(v) for v in vs]
     if rank(coords) != 7:
         return StandardBasisReport(False, [("dependent", None)])
     for i, j, got, want in _witt_gram_mismatches(space.bilinear_form().pair, coords):
         failures.append(("pairing", (i, j), got, want))
-    divided = space.divided_wronskians(vs, 3)
-    products = ProductTable(vs)
-    for key in sorted(WRONSKIAN_TABLE):
-        got = divided[tuple(i - 1 for i in key)]
-        want = products.combine(_table_terms(key, range(7)))
+    for key, got, want in table_identities(space, vs):
         if got != want:
             failures.append(("table", key, got, want))
     return StandardBasisReport(not failures, failures)
@@ -555,25 +550,16 @@ def associated_two_form(form: ThreeForm) -> list[list[Fraction]]:
 
     Entry (k, l) evaluates (i_k form) wedge (i_l form) wedge form on the
     standard frame; proportional to the Witt Gram in the standard case.
-    The proportionality constant is reported as-is, not normalized."""
-    idx = tuple(range(1, 8))
+    The proportionality constant is reported as-is, not normalized.  The sum
+    over partitions A, B, C of 1..7 runs over nonzero values only."""
     b = [[F(0)] * 7 for _ in range(7)]
-    for A in combinations(idx, 2):
-        restA = tuple(i for i in idx if i not in A)
-        for Bk in combinations(restA, 2):
-            C = tuple(i for i in restA if i not in Bk)
-            wC = form(*C)
-            if not wC:
-                continue
-            sgn = _perm_sign(A + Bk + C)
-            for k in range(1, 8):
-                wk = form(k, *A)
-                if not wk:
-                    continue
-                for l in range(1, 8):
-                    wl = form(l, *Bk)
-                    if wl:
-                        b[k - 1][l - 1] += sgn * wk * wl * wC
+    heads = [(k, (p, q), w) for (k, p, q), w in form.signed.items() if p < q]
+    for C, wC in form.entries.items():
+        for k, A, wk in heads:
+            if not set(A) & set(C):
+                for l, Bk, wl in heads:
+                    if not set(Bk) & set(A + C):
+                        b[k - 1][l - 1] += _perm_sign(A + Bk + C) * wk * wl * wC
     for i in range(7):
         for j in range(i):
             if b[i][j] != b[j][i]:
@@ -588,7 +574,7 @@ def flag_is_g2_isotropic(form: ThreeForm, triple) -> bool:
     all three).  The span must be three-dimensional, isotropic for the
     pairing, and equal to the kernel of the contraction of the form with
     the first vector."""
-    if rank(triple) != 3:
+    if rank([_witt_coords(x) for x in triple]) != 3:
         return False
     if any(witt_form(x, y) for x in triple for y in triple):
         return False

@@ -16,7 +16,8 @@ nonzero entry is chosen, so reduced forms, kernels, solutions are canonical.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+
+from .scalars import _int_clear
 
 
 def transpose(cols) -> list[list]:
@@ -69,12 +70,7 @@ def _integer_rref(rows) -> tuple[list[list], list[int]]:
     pivot_row) // s.  At the end every pivot entry equals the last pivot
     d, so the reduced form is X * d / s / d = X / s, row by row.
     """
-    ints = []
-    for row in rows:
-        den = lcm(*(e.denominator for e in row))
-        row = [e.numerator * (den // e.denominator) for e in row]
-        g = gcd(*row)
-        ints.append([e // g for e in row] if g > 1 else row)
+    ints = [_int_clear(row)[0] for row in rows]
     nrows = len(ints)
     stamps = [1] * nrows
     pivots = []

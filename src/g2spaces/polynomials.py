@@ -14,7 +14,7 @@ from itertools import combinations
 from math import gcd as int_gcd
 from operator import truediv
 
-from .scalars import rat, rational_sqrt, reject_booleans
+from .scalars import _int_clear, rat, rational_sqrt, reject_booleans
 
 NEG_INF = float("-inf")
 
@@ -194,6 +194,8 @@ class Poly:
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, x):
+        if isinstance(x, (bool, float)):
+            raise TypeError(f"cannot evaluate a polynomial at {x!r}; the point must be exact")
         out = Fraction(0) if isinstance(x, (int, Fraction)) else 0 * x
         for c in reversed(self.coeffs):
             out = out * x + c
@@ -254,8 +256,23 @@ class Poly:
 
 # -- coefficient kernels ---------------------------------------------------
 #
-# One product, one long division and one formal square root for ascending
-# coefficient sequences over any ring: int, Fraction or MPoly.
+# One linear combination, one product, one long division and one formal
+# square root for ascending coefficient sequences over any ring: int,
+# Fraction or MPoly.
+
+
+def lincomb(terms) -> list:
+    """Coefficients of the sum of c * f over the terms (c, f), trimmed; zero
+    weights and zero coefficients are skipped, so [] is the zero sum."""
+    out = []
+    for c, f in terms:
+        if c:
+            if len(out) < len(f):
+                out.extend([0] * (len(f) - len(out)))
+            for j, v in enumerate(f):
+                if v:
+                    out[j] += c * v
+    return _iz_trim(out)
 
 
 def convolve(f, g) -> list:
@@ -314,17 +331,6 @@ def formal_sqrt(f, top, divide) -> list:
 # -- integer kernels -------------------------------------------------------
 
 
-def _int_clear(coeffs) -> tuple[list[int], Fraction]:
-    """Primitive integer list and scale with coeffs = scale * ints (zeros stay zeros)."""
-    if not coeffs:
-        return [], Fraction(1)
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    g = _iz_content(ints) or 1
-    return [v // g for v in ints], Fraction(g, den)
-
 def _iz_trim(f: list[int]) -> list[int]:
     while f and f[-1] == 0:
         f.pop()
@@ -343,14 +349,8 @@ def _iz_exact_div(f: list[int], g: list[int]) -> list[int]:
         raise InexactDivisionError("inexact division in integer kernel")
     return quo
 
-def _iz_content(f: list[int]) -> int:
-    g = 0
-    for v in f:
-        g = int_gcd(g, abs(v))
-    return g
-
 def _iz_primitive(f: list[int]) -> list[int]:
-    g = _iz_content(f)
+    g = int_gcd(*f)
     if g == 0:
         return []
     if f[-1] < 0:
@@ -485,24 +485,18 @@ class ProductTable:
 
     def combine(self, terms) -> Poly:
         """The polynomial sum of c * f_a * f_b over the terms ((a, b), c)."""
-        weights, den = [], 1
+        pairs, weights = [], []
         for (a, b), c in terms:
             w = c * self._scales[a] * self._scales[b]
             if w:
-                weights.append((min(a, b), max(a, b), w))
-                den = den * w.denominator // int_gcd(den, w.denominator)
-        acc: list[int] = []
-        for a, b, w in weights:
-            product = self._products.get((a, b))
-            if product is None:
-                product = self._products[a, b] = convolve(self._ints[a], self._ints[b])
-            if len(acc) < len(product):
-                acc.extend([0] * (len(product) - len(acc)))
-            n = w.numerator * (den // w.denominator)
-            for i, v in enumerate(product):
-                if v:
-                    acc[i] += n * v
-        return Poly([Fraction(v, den) for v in acc])
+                pair = (a, b) if a <= b else (b, a)
+                if pair not in self._products:
+                    self._products[pair] = convolve(self._ints[a], self._ints[b])
+                pairs.append(pair)
+                weights.append(w)
+        ints, scale = _int_clear(weights)
+        n, d = scale.numerator, scale.denominator
+        return Poly([Fraction(n * v, d) for v in lincomb(zip(ints, map(self._products.get, pairs)))])
 
 
 def wronskian(polys) -> Poly:

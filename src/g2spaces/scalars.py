@@ -10,7 +10,7 @@ floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 
 def rat(x) -> Fraction:
@@ -29,6 +29,17 @@ def reject_booleans(values) -> None:
     for c in values:
         if isinstance(c, bool):
             raise TypeError(f"cannot interpret {c!r} as a rational")
+
+
+def _int_clear(values) -> tuple[list[int], Fraction]:
+    """Primitive integers and a positive scale with values = scale * ints, for
+    ints and Fractions; zeros stay zeros, and [] clears to ([], 1)."""
+    den = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (den // v.denominator) for v in values]
+    g = gcd(*ints)
+    if g > 1:
+        ints = [v // g for v in ints]
+    return ints, Fraction(g or 1, den)
 
 
 def rat_to_str(x: Fraction) -> str:
@@ -69,11 +80,9 @@ class QExt:
                 raise TypeError("QExt(qext, b) with b != 0 is ambiguous")
             t = a._t
         else:
-            a, b = rat(a), rat(b)
-            da, db = a.denominator, b.denominator
-            d = da * db // gcd(da, db)
-            # Both parts are reduced, so the triple over their lcm is too.
-            t = (a.numerator * (d // da), b.numerator * (d // db), d)
+            # Reduced: p and q are coprime or both zero (then s = 1), and s is reduced.
+            (p, q), s = _int_clear([rat(a), rat(b)])
+            t = (p * s.numerator, q * s.numerator, s.denominator)
         _setattr(self, "_t", t)
 
     def __setattr__(self, name, value):

@@ -21,6 +21,7 @@ from .polynomials import (
     _iz_gcd,
     _iz_primitive,
     exact_div,
+    lincomb,
 )
 
 
@@ -59,8 +60,10 @@ def canonicalize(polys) -> list[Poly]:
 
 
 def combine(coords, polys) -> Poly:
-    """The linear combination sum_j coords_j polys_j."""
-    return sum((p * c for c, p in zip(coords, polys) if c), Poly.zero())
+    """The linear combination sum_j coords_j polys_j, one coordinate per polynomial."""
+    if len(coords) != len(polys):
+        raise ValueError(f"expected {len(polys)} coordinates, got {len(coords)}")
+    return Poly(lincomb(zip(coords, (p.coeffs for p in polys))))
 
 
 def _witt_pair(i: int, j: int) -> Fraction:
@@ -177,8 +180,6 @@ class PolySpace:
 
     def element(self, coords) -> Poly:
         """The linear combination of the canonical basis with given coords."""
-        if len(coords) != self.dim:
-            raise ValueError(f"expected {self.dim} coordinates")
         return combine(coords, self.basis)
 
     # -- ramification -----------------------------------------------------

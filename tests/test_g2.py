@@ -2,7 +2,7 @@
 
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, product
 from fractions import Fraction as F
 
 import pytest
@@ -95,12 +95,80 @@ class TestThreeForm:
             with pytest.raises(ValueError, match="ascending triples in 1..7"):
                 ThreeForm({key: 1})
 
+    def test_evaluate_takes_seven_rational_coordinates(self):
+        with pytest.raises(TypeError):
+            EXPL.evaluate([0.5, 0, 0, 0, 0, 0, 0], unit(4), unit(7))
+        value = EXPL.evaluate([1, 0, 0, 0, 0, 0, 0], unit(4), ["0"] * 6 + ["2"])
+        assert value == F(1, 2) and type(value) is F
+        for n in (6, 8):
+            with pytest.raises(ValueError, match=f"vector needs 7 Witt coordinates, got {n}"):
+                EXPL.evaluate(unit(1), unit(4), [F(1)] * n)
+
     def test_flip_preserves_form(self):
         for i in range(1, 8):
             for j in range(i + 1, 8):
                 for k in range(j + 1, 8):
                     lhs = EXPL.evaluate(_flip(unit(i)), _flip(unit(j)), _flip(unit(k)))
                     assert lhs == EXPL(i, j, k)
+
+
+def _oracle_value(form, i, j, k):
+    """The form at (i, j, k) by sorting: the value at the ascending triple
+    times the sign of the sorting permutation."""
+    if len({i, j, k}) < 3:
+        return F(0)
+    inversions = (i > j) + (i > k) + (j > k)
+    return (-1) ** inversions * form.entries.get(tuple(sorted((i, j, k))), F(0))
+
+
+def _oracle_matrix2(form, v):
+    """Entry (j, k) of the contraction as the sum of v_i w(i, j, k) over all i."""
+    return [[sum((v[i - 1] * _oracle_value(form, i, j, k) for i in range(1, 8)), F(0))
+             for k in range(1, 8)] for j in range(1, 8)]
+
+
+def _oracle_two_form(form):
+    """The associated form by its definition: every partition of 1..7 into
+    ascending A, B and C, every k and l, with the sign of A + B + C."""
+    idx = range(1, 8)
+    b = [[F(0)] * 7 for _ in idx]
+    for A in combinations(idx, 2):
+        for Bk in combinations([i for i in idx if i not in A], 2):
+            C = tuple(i for i in idx if i not in A + Bk)
+            perm, wC = A + Bk + C, _oracle_value(form, *C)
+            sign = (-1) ** sum(perm[p] > perm[q] for p, q in combinations(range(7), 2))
+            for k in idx:
+                wk = _oracle_value(form, k, *A)
+                for l in idx:
+                    if wC and wk:
+                        b[k - 1][l - 1] += sign * wk * _oracle_value(form, l, *Bk) * wC
+    return b
+
+
+_form_values = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+_sparse_forms = st.dictionaries(
+    st.sampled_from(list(combinations(range(1, 8), 3))), _form_values, max_size=8
+).map(ThreeForm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sparse_forms, st.lists(_form_values, min_size=7, max_size=7))
+def test_three_form_matches_the_sorting_oracles(form, v):
+    for i, j, k in product(range(0, 9), repeat=3):
+        assert form(i, j, k) == _oracle_value(form, i, j, k)
+    assert form.matrix2(v) == _oracle_matrix2(form, v)
+    assert form.evaluate(v, unit(2), unit(5)) == sum(
+        (v[i - 1] * _oracle_value(form, i, 2, 5) for i in range(1, 8)), F(0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sparse_forms)
+def test_associated_two_form_matches_the_partition_oracle(form):
+    assert associated_two_form(form) == _oracle_two_form(form)
+
+
+def test_associated_two_form_oracle_on_the_standard_form():
+    assert associated_two_form(EXPL) == _oracle_two_form(EXPL)
 
 
 class TestSpinRoute:
@@ -304,6 +372,13 @@ class TestKernel2Form:
         with pytest.raises(TypeError, match="float"):
             kernel_2form(three_form_from_spin(), [0.5, 0, 0, 0, 0, 0, 0])
 
+    def test_a_vector_of_the_wrong_length_is_refused(self):
+        form = three_form_from_spin()
+        for v in ([1, 0, 0, 0, 0, 0, 0, 5], [1, 0, 0, 0, 0, 0]):
+            for call in (form.matrix2, lambda v: kernel_2form(form, v)):
+                with pytest.raises(ValueError, match=f"vector needs 7 Witt coordinates, got {len(v)}"):
+                    call(v)
+
 
 class TestAssociatedTwoForm:
     def test_proportional_to_witt_gram(self):
@@ -400,6 +475,15 @@ class TestFlags:
 
     def test_dependent_triple_rejected(self):
         assert not flag_is_g2_isotropic(EXPL, [unit(1), unit(2), [2 * c for c in unit(1)]])
+
+    def test_a_flag_of_the_wrong_length_is_refused(self, space, wb):
+        e = [[int(i == j) for i in range(8)] for j in range(3)]
+        with pytest.raises(ValueError, match="vector needs 7 Witt coordinates, got 8"):
+            flag_is_g2_isotropic(EXPL, e)
+        with pytest.raises(ValueError, match="vector needs 7 Witt coordinates, got 6"):
+            flag_is_g2_isotropic(EXPL, [x[:6] for x in e])
+        with pytest.raises(ValueError, match="expected 7 coordinates, got 8"):
+            flag_to_pair(space, wb, e)
 
     def test_flag_to_pair_at_base(self, space, wb):
         y1, y2 = flag_to_pair(space, wb, [unit(1), unit(2), unit(3)])

@@ -28,6 +28,7 @@ from g2spaces.polynomials import (
     convolve,
     coprime,
     exact_div,
+    lincomb,
     long_divide,
     perfect_square_root,
     poly_gcd,
@@ -129,6 +130,16 @@ def test_evaluation_and_translate():
     assert f(Fraction(1, 2)) == Fraction(5, 4)
     assert f.translate(1) == Poly([2, 2, 1])  # 1 + (x+1)^2
     assert f.translate(1)(0) == f(1)
+
+
+def test_evaluation_takes_exact_points_only():
+    f = Poly([1, 2])
+    for bad in (0.5, 1.0, True, False):
+        with pytest.raises(TypeError, match="exact"):
+            f(bad)
+    assert f(3) == 7 and type(f(3)) is Fraction
+    assert f(Fraction(1, 2)) == 2 and type(f(Fraction(1, 2))) is Fraction
+    assert f(QExt(0, 1)) == QExt(1, 2)
 
 
 def test_derivative():
@@ -255,6 +266,35 @@ def test_product_table_combine_matches_the_fraction_sum(case):
         got = table.combine(terms)
         assert got == want
         assert all(type(c) is Fraction for c in got.coeffs)
+
+
+@st.composite
+def lincomb_terms(draw):
+    """Up to six terms (c, f) with int or Fraction weights and coefficient
+    lists, zeros, empty and zero-padded lists among them; a term may be
+    followed by its negation, so that the sum cancels."""
+    coeff = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    terms = draw(st.lists(st.tuples(coeff, st.lists(coeff, max_size=5)), max_size=6))
+    if terms and draw(st.booleans()):
+        c, f = draw(st.sampled_from(terms))
+        terms.append((-c, f))
+    return terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(lincomb_terms())
+@example([])
+@example([(2, [1, 0, 3]), (-2, [1, 0, 3])])
+@example([(0, [1, 2]), (3, []), (Fraction(1, 2), [0, 0]), (1, [Fraction(1, 3), 0])])
+def test_lincomb_matches_summed_poly_scalings(terms):
+    want = Poly.zero()
+    for c, f in terms:
+        want = want + Poly(f) * c
+    got = lincomb(terms)
+    assert not got or got[-1] != 0
+    assert Poly(got) == want
+    if all(type(x) is int for c, f in terms for x in (c, *f)):
+        assert all(type(v) is int for v in got)
 
 
 def test_wronskian_table_levels_and_bounds():

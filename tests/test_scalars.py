@@ -4,13 +4,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from g2spaces.scalars import (
     HALF_SQRT2,
     SQRT2,
     QExt,
+    _int_clear,
     qext_sqrt,
     rat,
     rational_part,
@@ -264,3 +265,23 @@ def test_qext_rejects_float_operands_and_ambiguous_parts(bad):
             op()
     with pytest.raises(TypeError):
         QExt(z, 1)
+
+
+_clear_values = st.lists(
+    st.one_of(st.integers(-50, 50), st.fractions(min_value=-20, max_value=20, max_denominator=12)),
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_clear_values)
+@example([])
+@example([0, F(0)])
+@example([F(-6, 4), 9, 0, F(3, 8)])
+def test_int_clear_gives_primitive_integers_and_a_positive_scale(values):
+    ints, scale = _int_clear(values)
+    assert type(scale) is F and scale > 0
+    assert all(type(v) is int for v in ints)
+    assert [scale * v for v in ints] == values
+    assert [v == 0 for v in ints] == [v == 0 for v in values]
+    assert gcd(*ints) == (1 if any(values) else 0)

@@ -88,6 +88,16 @@ def test_space_membership_and_coords():
     assert rebuilt == sp
 
 
+def test_elements_take_one_coordinate_per_vector():
+    space = get_space("deg6")
+    wb = witt_basis(space)
+    for element in (wb.element, space.element):
+        for n in (0, 1, 6, 8):
+            with pytest.raises(ValueError, match=f"expected 7 coordinates, got {n}"):
+                element([1] * n)
+    assert wb.element([1] * 7) == sum(wb.vectors, Poly.zero())
+
+
 def test_degree_window_space_unramified():
     sp = degree_window_space()
     assert sp.degrees == (0, 1, 2, 3, 4, 5, 6)
