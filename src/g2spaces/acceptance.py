@@ -25,8 +25,6 @@ from .fixtures import (
     transformed_basis_b,
 )
 from .g2 import (
-    THREE_FORM_VALUES,
-    WRONSKIAN_TABLE,
     _SEED_TRIPLES,
     _unit,
     associated_two_form,
@@ -36,7 +34,7 @@ from .g2 import (
     quadratic_of_phi,
     random_isotropic_vector,
     three_form_from_spin,
-    three_form_from_wronskians,
+    three_form_routes,
     verify_standard_basis,
 )
 from .linalg import in_span, kernel, rank, same_span, transpose
@@ -75,13 +73,10 @@ def criterion_1():
 
 
 def criterion_2():
-    spin_route = three_form_from_spin()
-    wrons_route = three_form_from_wronskians()
-    for key in sorted(WRONSKIAN_TABLE):
-        want = THREE_FORM_VALUES.get(key, F(0))
-        if spin_route(*key) != want:
+    for key, spin, wrons, want in three_form_routes():
+        if spin != want:
             return False, f"spin route differs from the explicit value at {key}"
-        if wrons_route(*key) != want:
+        if wrons != want:
             return False, f"Wronskian route differs at {key}"
     return True, "35/35 values agree on both routes"
 

@@ -17,7 +17,7 @@ from functools import reduce
 
 from .linalg import solve
 from .polynomials import Poly, RatFun, _iz_derivative, convolve, coprime, lincomb
-from .scalars import _int_clear, rat, reject_booleans
+from .scalars import _int_clear, rat
 from .spaces import PolySpace, SpaceError
 
 F = Fraction
@@ -148,7 +148,6 @@ class FertilityFamily:
     def member(self, c) -> Poly:
         """The solution at parameter c, an int, string or Fraction; a float
         or a boolean raises TypeError."""
-        reject_booleans((c,))
         return self.particular + self.kernel * rat(c)
 
 

@@ -26,7 +26,6 @@ from .bethe import (
 )
 from .fixtures import SEEDS, SPACES, factorial_basis, get_seed, get_space
 from .g2 import (
-    THREE_FORM_VALUES,
     WRONSKIAN_TABLE,
     _unit,
     check_ssd,
@@ -36,7 +35,7 @@ from .g2 import (
     kernel_2form,
     table_identities,
     three_form_from_spin,
-    three_form_from_wronskians,
+    three_form_routes,
 )
 from .polynomials import Poly, wronskian
 from .scalars import QExt
@@ -292,19 +291,15 @@ def cmd_spin_preimages(args) -> int:
 
 
 def cmd_g2_threeform(args) -> int:
-    spin_route = three_form_from_spin()
-    wrons_route = three_form_from_wronskians()
     values = []
+    lines = ["nonzero values:"]
     agree = True
-    for key in sorted(WRONSKIAN_TABLE):
-        a, b = spin_route(*key), wrons_route(*key)
+    for key, a, b, explicit in three_form_routes():
         agree = agree and a == b
         values.append({"triple": list(key), "spin": str(a), "wronskian": str(b)})
+        if explicit:
+            lines.append("  w({},{},{}) = {}".format(*key, a))
     payload = {"values": values, "routes_agree": agree}
-    lines = ["nonzero values:"]
-    lines.extend(
-        f"  w({i},{j},{k}) = {spin_route(i, j, k)}" for (i, j, k) in sorted(THREE_FORM_VALUES)
-    )
     lines.append("all other triples: 0")
     lines.append("spin and Wronskian routes agree: " + ("yes" if agree else "NO"))
     _emit(args, payload, lines)
@@ -477,14 +472,10 @@ def cmd_verify_table1(args) -> int:
 
 def cmd_verify_threeform(args) -> int:
     corrupt = _parse_triple(args.corrupt) if args.corrupt else None
-    spin_route = three_form_from_spin()
-    wrons_route = three_form_from_wronskians()
     bad = []
-    for key in sorted(WRONSKIAN_TABLE):
-        want = THREE_FORM_VALUES.get(key, F(0))
+    for key, got_spin, got_wrons, want in three_form_routes():
         if key == corrupt:
             want = want + 1
-        got_spin, got_wrons = spin_route(*key), wrons_route(*key)
         if got_spin != want or got_wrons != want:
             bad.append((key, got_spin, got_wrons, want))
     lines = [f"form values: {35 - len(bad)}/35"]

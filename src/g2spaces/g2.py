@@ -21,7 +21,7 @@ from itertools import combinations, permutations
 
 from .linalg import kernel, rank, same_span, solve
 from .polynomials import NotASquareError, Poly, ProductTable, perfect_square_root
-from .scalars import _int_clear, rat, reject_booleans
+from .scalars import _int_clear, rat
 from .spaces import (
     BasePointError,
     DegreePatternError,
@@ -127,7 +127,6 @@ class ThreeForm:
             i, j, k = key
             if not 1 <= i < j < k <= 7:
                 raise ValueError(f"keys must be ascending triples in 1..7, got {key}")
-            reject_booleans((val,))
             val = rat(val)
             if val:
                 clean[(i, j, k)] = val
@@ -323,6 +322,14 @@ def three_form_from_wronskians(space: PolySpace | None = None) -> ThreeForm:
         if certified >= _CERTIFIED_TRIPLES and scale is not None:
             return ThreeForm({key: scale * c for key, c in zip(keys, line)})
     raise SpaceError("could not collect enough independent special triples")
+
+
+def three_form_routes():
+    """Yield (key, spin value, Wronskian value, explicit value) for the 35
+    triples of ``WRONSKIAN_TABLE`` in sorted order."""
+    spin_route, wrons_route = three_form_from_spin(), three_form_from_wronskians()
+    for key in sorted(WRONSKIAN_TABLE):
+        yield key, spin_route(*key), wrons_route(*key), THREE_FORM_VALUES.get(key, F(0))
 
 
 @lru_cache(maxsize=1)

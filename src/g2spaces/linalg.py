@@ -4,11 +4,14 @@ A matrix is a plain list of row lists, and every function here takes and
 returns that one format; ``transpose`` turns a list of column vectors into
 rows.  Entries may be Fraction, int, or QExt; any type with field
 arithmetic and truthiness works.  ``rref``, which every other elimination
-here goes through, eliminates a rational matrix (only int and Fraction
-entries) fraction-free over the integers and divides once at the end; a
-matrix with any other entry, such as QExt, is eliminated over its field,
-with int entries lifted to Fraction; a float entry raises TypeError.  Either
-way the results are Fractions or field elements, never floats.  Pivoting is
+here goes through, refuses a ragged matrix with ValueError.  It eliminates
+a rational matrix (only int and Fraction entries) on primitive integer
+rows: each row a step changes is divided by its gcd, and each pivot row by
+its pivot at the end.  A row is fixed up to a factor at every step, so this
+is Bareiss's fraction-free elimination up to each row's content.  A matrix
+with any other entry, such as QExt, is eliminated over its field, with int
+entries lifted to Fraction; a float entry raises TypeError.  Either way
+the results are Fractions or field elements, never floats.  Pivoting is
 deterministic: columns are scanned left to right and the first row with a
 nonzero entry is chosen, so reduced forms, kernels, solutions are canonical.
 """
@@ -16,13 +19,15 @@ nonzero entry is chosen, so reduced forms, kernels, solutions are canonical.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .scalars import _int_clear
 
 
 def transpose(cols) -> list[list]:
-    """The rows of the matrix whose columns are the given vectors."""
-    return [list(row) for row in zip(*cols)]
+    """The rows of the matrix whose columns are the given vectors; vectors of
+    different lengths raise ValueError."""
+    return [list(row) for row in zip(*cols, strict=True)]
 
 
 def _field_rref(rows) -> tuple[list[list], list[int]]:
@@ -57,24 +62,19 @@ def _field_rref(rows) -> tuple[list[list], list[int]]:
 
 
 def _integer_rref(rows) -> tuple[list[list], list[int]]:
-    """Fraction-free Gauss-Jordan (Bareiss) on rows of ints and Fractions.
+    """Gauss-Jordan on primitive integer rows, for rows of ints and Fractions.
 
-    Each row is scaled to primitive integers, which leaves its span alone.
-    Step k with pivot p replaces each row R by (p * R - a * pivot_row) //
-    prev, where a is R's entry in the pivot column and prev the previous
-    pivot; the division is exact, since every entry is then a minor of the
-    integer matrix (Bareiss 1968).  A row with a = 0 would only be scaled
-    by p / prev, so it is left as stored, X, together with the pivot s in
-    force when it was last updated: its true value is X * prev / s, and
-    the update (p * R - a * pivot_row) // prev becomes (p * X - a *
-    pivot_row) // s.  At the end every pivot entry equals the last pivot
-    d, so the reduced form is X * d / s / d = X / s, row by row.
+    Each row is cleared to primitive integers, which leaves its span alone.
+    Clearing column c from a row R with entry a against the pivot row with
+    pivot p sets R to p * R - a * pivot_row divided by its gcd.  After k
+    steps a row is fixed up to a rational factor (its original row plus the
+    combination of the k pivot rows that clears their columns), so it is
+    the Bareiss row (Bareiss 1968), whose entries are minors, divided by
+    its content.  At the end each pivot row is divided by its pivot.
     """
     ints = [_int_clear(row)[0] for row in rows]
     nrows = len(ints)
-    stamps = [1] * nrows
     pivots = []
-    prev = 1
     r = 0
     for c in range(len(ints[0])):
         pr = None
@@ -85,23 +85,20 @@ def _integer_rref(rows) -> tuple[list[list], list[int]]:
         if pr is None:
             continue
         ints[r], ints[pr] = ints[pr], ints[r]
-        stamps[r], stamps[pr] = stamps[pr], stamps[r]
-        top, s = ints[r], stamps[r]
-        if s != prev:
-            top = ints[r] = [x * prev // s for x in top]
-        p = stamps[r] = top[c]
+        top = ints[r]
+        p = top[c]
         for i in range(nrows):
             a = ints[i][c]
             if a and i != r:
-                s = stamps[i]
-                ints[i] = [(p * x - a * y) // s for x, y in zip(ints[i], top)]
-                stamps[i] = p
-        prev = p
+                row = [p * x - a * y for x, y in zip(ints[i], top)]
+                g = gcd(*row)
+                ints[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return [[Fraction(x, s) for x in row] for row, s in zip(ints, stamps)], pivots
+    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(ints, pivots)]
+    return red + [[Fraction(0)] * len(row) for row in ints[r:]], pivots
 
 
 def rref(m) -> tuple[list[list], list[int]]:
@@ -114,6 +111,10 @@ def rref(m) -> tuple[list[list], list[int]]:
     """
     if not m:
         return [], []
+    n = len(m[0])
+    for i, row in enumerate(m):
+        if len(row) != n:
+            raise ValueError(f"ragged matrix: row {i} has length {len(row)}, row 0 has length {n}")
     if all(isinstance(e, (int, Fraction)) for r in m for e in r):
         return _integer_rref(m)
     return _field_rref(m)

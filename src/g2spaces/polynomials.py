@@ -14,7 +14,7 @@ from itertools import combinations
 from math import gcd as int_gcd
 from operator import truediv
 
-from .scalars import _int_clear, rat, rational_sqrt, reject_booleans
+from .scalars import _int_clear, rat, rational_sqrt
 
 NEG_INF = float("-inf")
 
@@ -245,12 +245,11 @@ class Poly:
     @staticmethod
     def from_json(obj) -> "Poly":
         """A list of coefficients as ints or exact strings.  Anything but a
-        list (a string would be read digit by digit) and booleans are
-        rejected here, floats by the constructor's ``scalars.rat``, all with
+        list (a string would be read digit by digit) is rejected here,
+        booleans and floats by the constructor's ``scalars.rat``, all with
         TypeError."""
         if not isinstance(obj, list):
             raise TypeError(f"expected a list of coefficients, got {obj!r}")
-        reject_booleans(obj)
         return Poly(obj)
 
 

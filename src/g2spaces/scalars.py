@@ -14,21 +14,15 @@ from math import gcd, isqrt, lcm
 
 
 def rat(x) -> Fraction:
-    """Coerce an int, string or Fraction to Fraction."""
+    """Coerce an int, string or Fraction to Fraction; a bool (a JSON true or
+    false, which Python reads as 1 or 0) or a float raises TypeError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, QExt):
         return rational_part(x)
     raise TypeError(f"cannot interpret {x!r} as a rational")
-
-
-def reject_booleans(values) -> None:
-    """Raise TypeError on a JSON true or false, which Python reads as 1 or 0."""
-    for c in values:
-        if isinstance(c, bool):
-            raise TypeError(f"cannot interpret {c!r} as a rational")
 
 
 def _int_clear(values) -> tuple[list[int], Fraction]:
@@ -228,11 +222,9 @@ class QExt:
 
     @staticmethod
     def from_json(obj) -> "QExt":
-        """Parts as ints or exact strings; booleans are rejected here and
-        floats by ``rat``, both with TypeError."""
-        parts = obj["a"], obj["b"]
-        reject_booleans(parts)
-        return QExt(*parts)
+        """Parts as ints or exact strings; ``rat`` refuses booleans and floats
+        with TypeError."""
+        return QExt(obj["a"], obj["b"])
 
 
 _new = object.__new__

@@ -135,9 +135,14 @@ _ZERO = QExt.lift(0)
 
 
 def _witt_coords(v) -> list:
+    """The seven Witt coordinates of v as a list; a wrong length raises
+    ValueError and a bool entry TypeError."""
     v = list(v)
     if len(v) != 7:
         raise ValueError(f"vector needs 7 Witt coordinates, got {len(v)}")
+    for c in v:
+        if isinstance(c, bool):
+            raise TypeError(f"cannot interpret {c!r} as a rational")
     return v
 
 

@@ -183,6 +183,13 @@ class TestWronskianRoute:
     def test_monomial_space_2_3(self):
         assert three_form_from_wronskians(monomial_space(2, 3)) == EXPL
 
+    def test_routes_yield_every_triple_once_in_order(self):
+        rows = list(g2.three_form_routes())
+        assert [key for key, *_ in rows] == list(combinations(range(1, 8), 3))
+        for key, spin, wrons, want in rows:
+            assert spin == wrons == want == EXPL(*key)
+        assert {key: want for key, *_, want in rows if want} == THREE_FORM_VALUES
+
     def test_one_elimination_and_no_solve(self, monkeypatch):
         calls = []
 
@@ -371,6 +378,19 @@ class TestKernel2Form:
     def test_a_float_vector_is_refused(self):
         with pytest.raises(TypeError, match="float"):
             kernel_2form(three_form_from_spin(), [0.5, 0, 0, 0, 0, 0, 0])
+
+    def test_a_boolean_coordinate_is_refused(self):
+        # Python reads True as 1; every Witt-coordinate entry point refuses it.
+        for b in (True, False):
+            v = [b, 0, 0, 0, 0, 0, 0]
+            calls = (lambda: EXPL.evaluate(v, unit(4), unit(7)),
+                     lambda: EXPL.evaluate(unit(1), unit(4), v[::-1]),
+                     lambda: EXPL.matrix2(v), lambda: kernel_2form(EXPL, v),
+                     lambda: phi_map(unit(1), v, unit(7)),
+                     lambda: flag_is_g2_isotropic(EXPL, [v, unit(2), unit(3)]))
+            for call in calls:
+                with pytest.raises(TypeError, match=f"cannot interpret {b} as a rational"):
+                    call()
 
     def test_a_vector_of_the_wrong_length_is_refused(self):
         form = three_form_from_spin()

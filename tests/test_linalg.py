@@ -253,6 +253,23 @@ def test_int_entries_eliminate_in_fractions():
     assert rref([[True, SQRT2], [False, True]])[0] == I2
 
 
+def test_ragged_matrices_are_refused():
+    # Every elimination goes through rref, which checks the row lengths once.
+    # solve eliminates [m | rhs], so its lengths count the right-hand side.
+    for m, i, n, n0 in (([[1], [3, 4]], 1, 2, 1), ([[1, 2], [3]], 1, 1, 2),
+                        ([[1, 0], [0, 1], [SQRT2]], 2, 1, 2)):
+        message = f"ragged matrix: row {i} has length {n}, row 0 has length {n0}"
+        for call in (rref, kernel, rank, lambda m: same_span(m, [[1, 0]]),
+                     lambda m: same_span([[1, 0]], m)):
+            with pytest.raises(ValueError, match=message):
+                call(m)
+        with pytest.raises(ValueError, match=f"row {i} has length {n + 1}, row 0 has length {n0 + 1}"):
+            solve(m, [1] * len(m))
+        # in_span takes the vectors as columns, so transpose refuses them.
+        with pytest.raises(ValueError, match="shorter|longer"):
+            in_span(m, [1] * n0)
+
+
 def test_rank_and_span():
     assert rank([[1, 2], [2, 4], [0, 1]]) == 2
     assert in_span([[1, 0, 0], [0, 1, 0]], [3, -2, 0])

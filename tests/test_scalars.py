@@ -29,6 +29,15 @@ def test_rat_coercion():
         rat(0.5)
 
 
+def test_rat_refuses_booleans():
+    # A JSON true or false reads as 1 or 0 in Python; rat is the one refusal.
+    for b in (True, False):
+        with pytest.raises(TypeError, match=f"cannot interpret {b} as a rational"):
+            rat(b)
+        with pytest.raises(TypeError, match=f"cannot interpret {b} as a rational"):
+            QExt(0, b)
+
+
 def test_rational_sqrt_values():
     assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
     assert rational_sqrt(0) == 0
