@@ -17,7 +17,7 @@ from functools import reduce
 
 from .linalg import solve
 from .polynomials import Poly, RatFun, _iz_derivative, convolve, coprime, lincomb
-from .scalars import _int_clear, rat
+from .scalars import _clear_ints, _int_clear, rat
 from .spaces import PolySpace, SpaceError
 
 F = Fraction
@@ -346,7 +346,7 @@ def kernel_operator(yA, T):
     def atom(p: Poly) -> int | None:
         if p.is_constant():
             return None
-        ints, _ = _int_clear(p.coeffs)
+        ints = _clear_ints(p.coeffs)[0]
         if ints not in atoms:
             atoms.append(ints)
         return atoms.index(ints)

@@ -20,8 +20,8 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from .linalg import kernel, rank, same_span, solve
-from .polynomials import NotASquareError, Poly, ProductTable, perfect_square_root
-from .scalars import _int_clear, rat
+from .polynomials import NotASquareError, Poly, ProductTable, lincomb, perfect_square_root
+from .scalars import _clear_ints, _int_clear, rat
 from .spaces import (
     BasePointError,
     DegreePatternError,
@@ -30,6 +30,7 @@ from .spaces import (
     SpaceError,
     WittBasis,
     WittGramError,
+    _witt_coords,
     _witt_gram_mismatches,
     _witt_pair,
     combine,
@@ -37,7 +38,7 @@ from .spaces import (
     witt_basis,
     witt_form,
 )
-from .spin import _witt_coords, unit_words
+from .spin import unit_words
 
 F = Fraction
 H = F(1, 2)
@@ -242,7 +243,7 @@ def _random_special_triple(rng) -> list[list[Fraction]]:
             shear = _shear_a if kind == 0 else _shear_b
             triple = [shear(x, c) for x in triple]
     # Scale each vector to coprime integer entries.
-    return [[F(n) for n in _int_clear(x)[0]] for x in triple]
+    return [[F(n) for n in _clear_ints(x)[0]] for x in triple]
 
 
 def _symmetry_generators() -> list[list[list[Fraction]]]:
@@ -456,6 +457,7 @@ def find_standard_basis(space: PolySpace) -> StandardBasisResult:
     w = wb.vectors
     vs: list[Poly] = []
     coords: list[list[Fraction]] = []
+    pairs = {}  # j -> the map c -> W(v_1, v_j, c)/U_3
     wronskians: dict[tuple[int, int], Poly] = {}
     products = ProductTable(w)
     index: list[int] = []  # the products index of each slot so far
@@ -463,9 +465,11 @@ def find_standard_basis(space: PolySpace) -> StandardBasisResult:
     def residual(j: int, i: int) -> Poly:
         """Identity (1, j, k) minus its table side, with w_i in slot k = len(vs) + 1."""
         if (j, i) not in wronskians:
-            wronskians[j, i] = space.divided_wronskian([vs[0], vs[j - 1], w[i - 1]])
+            if j not in pairs:
+                pairs[j] = space.pair_wronskians(vs[0], vs[j - 1])
+            wronskians[j, i] = pairs[j](w[i - 1])
         table_side = products.combine(_table_terms((1, j, len(vs) + 1), index + [i - 1]))
-        return wronskians[j, i] - table_side
+        return Poly(lincomb([(1, wronskians[j, i].coeffs), (-1, table_side.coeffs)]))
 
     for k in range(1, 8):
         pairings = [witt_form(_unit(k), coords[j - 1]) - _witt_pair(j, k) for j in range(1, k)]

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .scalars import _int_clear
+from .scalars import _clear_ints
 
 
 def transpose(cols) -> list[list]:
@@ -72,7 +72,7 @@ def _integer_rref(rows) -> tuple[list[list], list[int]]:
     the Bareiss row (Bareiss 1968), whose entries are minors, divided by
     its content.  At the end each pivot row is divided by its pivot.
     """
-    ints = [_int_clear(row)[0] for row in rows]
+    ints = [_clear_ints(row)[0] for row in rows]
     nrows = len(ints)
     pivots = []
     r = 0

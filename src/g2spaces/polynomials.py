@@ -14,7 +14,7 @@ from itertools import combinations
 from math import gcd as int_gcd
 from operator import truediv
 
-from .scalars import _int_clear, rat, rational_sqrt
+from .scalars import _clear_ints, _int_clear, rat, rational_sqrt
 
 NEG_INF = float("-inf")
 
@@ -493,8 +493,7 @@ class ProductTable:
                     self._products[pair] = convolve(self._ints[a], self._ints[b])
                 pairs.append(pair)
                 weights.append(w)
-        ints, scale = _int_clear(weights)
-        n, d = scale.numerator, scale.denominator
+        ints, n, d = _clear_ints(weights)
         return Poly([Fraction(n * v, d) for v in lincomb(zip(ints, map(self._products.get, pairs)))])
 
 
@@ -519,8 +518,8 @@ def poly_gcd(f, g) -> Poly:
         return g.monic()
     if g.is_zero():
         return f.monic()
-    a, _ = _int_clear(f.coeffs)
-    b, _ = _int_clear(g.coeffs)
+    a = _clear_ints(f.coeffs)[0]
+    b = _clear_ints(g.coeffs)[0]
     return Poly(_iz_gcd(a, b)).monic()
 
 
@@ -541,8 +540,8 @@ def coprime(f, g) -> bool:
         return f.is_constant() and g.is_constant()
     if f.is_constant() or g.is_constant():
         return True
-    a, _ = _int_clear(f.coeffs)
-    b, _ = _int_clear(g.coeffs)
+    a = _clear_ints(f.coeffs)[0]
+    b = _clear_ints(g.coeffs)[0]
     if a[-1] % _P == 0:
         a, b = b, a
     if a[-1] % _P and _gfp_gcd_degree([v % _P for v in b], [v % _P for v in a]) == 0:

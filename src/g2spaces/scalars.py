@@ -25,14 +25,20 @@ def rat(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
-def _int_clear(values) -> tuple[list[int], Fraction]:
-    """Primitive integers and a positive scale with values = scale * ints, for
-    ints and Fractions; zeros stay zeros, and [] clears to ([], 1)."""
+def _clear_ints(values) -> tuple[list[int], int, int]:
+    """The one clearing kernel: primitive ints, content g >= 0 and common
+    denominator den with values = ints * g / den; [] gives ([], 0, 1)."""
     den = lcm(*(v.denominator for v in values))
     ints = [v.numerator * (den // v.denominator) for v in values]
     g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
+    return ints, g, den
+
+
+def _int_clear(values) -> tuple[list[int], Fraction]:
+    """``_clear_ints`` with one positive scale, values = scale * ints (1 for zeros)."""
+    ints, g, den = _clear_ints(values)
     return ints, Fraction(g or 1, den)
 
 
@@ -74,9 +80,9 @@ class QExt:
                 raise TypeError("QExt(qext, b) with b != 0 is ambiguous")
             t = a._t
         else:
-            # Reduced: p and q are coprime or both zero (then s = 1), and s is reduced.
-            (p, q), s = _int_clear([rat(a), rat(b)])
-            t = (p * s.numerator, q * s.numerator, s.denominator)
+            # Reduced: p, q coprime or both zero, and the content g coprime to d.
+            (p, q), g, d = _clear_ints([rat(a), rat(b)])
+            t = (p * g, q * g, d)
         _setattr(self, "_t", t)
 
     def __setattr__(self, name, value):
@@ -248,13 +254,13 @@ def _reduced(p, q, d) -> QExt:
 
 def _triple(x):
     """The reduced triple of a QExt, int or Fraction, or None for any other
-    type (a float, a string)."""
+    type (a float, a string); a bool raises ``rat``'s TypeError."""
     if type(x) is QExt:
         return x._t
-    if isinstance(x, int):
-        return (int(x), 0, 1)
-    if isinstance(x, Fraction):
+    if type(x) is int or isinstance(x, Fraction):
         return (x.numerator, 0, x.denominator)
+    if isinstance(x, int):
+        return (rat(x).numerator, 0, 1)  # rat refuses a bool, which Python reads as an int
     return None
 
 

@@ -17,12 +17,15 @@ from .polynomials import (
     InexactDivisionError,
     Poly,
     WronskianTable,
+    _iz_derivative,
     _iz_exact_div,
     _iz_gcd,
     _iz_primitive,
+    convolve,
     exact_div,
     lincomb,
 )
+from .scalars import _clear_ints, _int_clear, rat
 
 
 class SpaceError(ValueError):
@@ -73,17 +76,31 @@ def _witt_pair(i: int, j: int) -> Fraction:
     return Fraction((-1) ** (i + 1))
 
 
+def _witt_coords(v) -> list:
+    """The seven Witt coordinates of v as a list; a wrong length raises
+    ValueError and a bool entry TypeError."""
+    v = list(v)
+    if len(v) != 7:
+        raise ValueError(f"vector needs 7 Witt coordinates, got {len(v)}")
+    for c in v:
+        if isinstance(c, bool):
+            raise TypeError(f"cannot interpret {c!r} as a rational")
+    return v
+
+
 def witt_form(x, y):
     """The Witt pairing sum_i (-1)^i x_i y_(6-i) of two coordinate vectors.
 
     Entries are 0-based Witt coordinates over any ring (Fraction, QExt,
-    MPoly); the value has the entries' type.  On unit vectors it gives
-    ``_witt_pair``.
+    MPoly); the value has the entries' type.  Zero entries of x after the
+    first skip their terms.  On unit vectors it gives ``_witt_pair``.
     """
+    x, y = _witt_coords(x), _witt_coords(y)
     out = x[0] * y[6]
     for i in range(1, 7):
-        term = x[i] * y[6 - i]
-        out = out - term if i % 2 else out + term
+        if x[i]:
+            term = x[i] * y[6 - i]
+            out = out - term if i % 2 else out + term
     return out
 
 
@@ -150,14 +167,6 @@ class PolySpace:
 
     # -- membership -------------------------------------------------------
 
-    def _coord_solver(self):
-        key = "coord_cols"
-        if key not in self._cache:
-            top = self.basis[-1].degree
-            cols = [[p.coeff(i) for i in range(top + 1)] for p in self.basis]
-            self._cache[key] = (top, transpose(cols))
-        return self._cache[key]
-
     def coords(self, f) -> list[Fraction] | None:
         """Coordinates of f in the canonical basis, or None if f is outside.
 
@@ -167,10 +176,11 @@ class PolySpace:
         f = Poly.lift(f)
         memo = self._cache.setdefault("coords", {})
         if f not in memo:
-            top, mat = self._coord_solver()
-            sol = None
+            top, sol = self.basis[-1].degree, None
+            if "matrix" not in self._cache:
+                self._cache["matrix"] = [[p.coeff(i) for p in self.basis] for i in range(top + 1)]
             if f.degree <= top:
-                sol = solve(mat, [f.coeff(i) for i in range(top + 1)])
+                sol = solve(self._cache["matrix"], [f.coeff(i) for i in range(top + 1)])
             memo[f] = tuple(sol[0]) if sol else None
         c = memo[f]
         return None if c is None else list(c)
@@ -179,8 +189,12 @@ class PolySpace:
         return self.coords(f) is not None
 
     def element(self, coords) -> Poly:
-        """The linear combination of the canonical basis with given coords."""
-        return combine(coords, self.basis)
+        """The linear combination of the canonical basis with given coords,
+        which are unique, so they seed the ``coords`` memo."""
+        coords = tuple(map(rat, coords))
+        f = combine(coords, self.basis)
+        self._cache.setdefault("coords", {})[f] = coords
+        return f
 
     # -- ramification -----------------------------------------------------
 
@@ -202,12 +216,16 @@ class PolySpace:
             self._cache[key] = _iz_primitive(g)
         return self._cache[key]
 
+    def _over_U(self, ints: list[int], scale, k: int) -> Poly:
+        """scale * ints over U_k: exact in Z[x], since U_k is primitive."""
+        self.U(k)  # the range check, and the base-point check at k = 1
+        u = self._U_ints(k)
+        s = scale * u[-1]
+        return Poly([s * c for c in _iz_exact_div(ints, u)])
+
     def _divided(self, table: WronskianTable, subset) -> Poly:
-        """A table entry over U_k: exact in Z[x], since U_k is primitive."""
-        self.U(len(subset))  # the range check, and the base-point check at k = 1
-        u = self._U_ints(len(subset))
-        s = table.scale(subset) * u[-1]
-        return Poly([s * c for c in _iz_exact_div(table.level(len(subset))[subset], u)])
+        k = len(subset)
+        return self._over_U(table.level(k)[subset], table.scale(subset), k)
 
     def U(self, k: int) -> Poly:
         """Monic gcd of the Wronskians of all k-subsets of the space."""
@@ -255,6 +273,27 @@ class PolySpace:
         """Wronskian of k space elements divided by the k-th divisor U_k."""
         polys = self._check_members(polys)
         return self._divided(WronskianTable(polys), tuple(range(len(polys))))
+
+    def pair_wronskians(self, a, b):
+        """The map c -> W(a, b, c)/U_3 on elements of the space by
+        construction, so membership is not checked.  The integer minors
+        m_rs = a^(r) b^(s) - a^(s) b^(r) are built once; each c costs three
+        integer products, c m_12 - c' m_02 + c'' m_01 (the last column)."""
+        def derivatives(f):
+            ints, scale = _int_clear(f.coeffs)
+            d1 = _iz_derivative(ints)
+            return (ints, d1, _iz_derivative(d1)), scale
+
+        (a, sa), (b, sb) = derivatives(a), derivatives(b)
+        m12, m02, m01 = (lincomb([(1, convolve(a[r], b[s])), (-1, convolve(a[s], b[r]))])
+                         for r, s in ((1, 2), (0, 2), (0, 1)))
+
+        def divided(c) -> Poly:
+            c, sc = derivatives(c)
+            w = lincomb(zip((1, -1, 1), map(convolve, c, (m12, m02, m01))))
+            return self._over_U(w, sa * sb * sc, 3)
+
+        return divided
 
     def divided_wronskians(self, polys, k: int) -> dict[tuple[int, ...], Poly]:
         """Divided Wronskians of every k-subset of the space elements polys.
@@ -335,11 +374,14 @@ class PolySpace:
 
 
 class BilinearForm:
-    """Symmetric invariant form of a self-dual space, as a Gram matrix."""
+    """Symmetric invariant form of a self-dual space, as a Gram matrix, kept
+    also as one scale times its nonzero integer entries."""
 
     def __init__(self, space: PolySpace, gram: list[list[Fraction]]):
         self.space = space
         self.gram = gram
+        ints, self._scale = _int_clear([e for row in gram for e in row])
+        self._entries = [(*divmod(k, len(gram)), g) for k, g in enumerate(ints) if g]
 
     def __call__(self, f, g) -> Fraction:
         cf = self.space.coords(f)
@@ -349,15 +391,11 @@ class BilinearForm:
         return self.pair(cf, cg)
 
     def pair(self, x, y) -> Fraction:
-        """The form on two coordinate vectors in the canonical basis."""
-        out = Fraction(0)
-        for i, a in enumerate(x):
-            if a:
-                row = self.gram[i]
-                for j, b in enumerate(y):
-                    if b:
-                        out += a * b * row[j]
-        return out
+        """The form on two rational coordinate vectors in the canonical basis:
+        one integer sum over the nonzero Gram entries, scaled once."""
+        (x, gx, dx), (y, gy, dy) = _clear_ints(x), _clear_ints(y)
+        total = sum(g * x[i] * y[j] for i, j, g in self._entries)
+        return self._scale * Fraction(total * gx * gy, dx * dy)
 
 
 class WittBasis:
@@ -368,9 +406,10 @@ class WittBasis:
     basis on monomial-type spaces.
     """
 
-    def __init__(self, space: PolySpace, vectors, a: int, m: int, n: int):
+    def __init__(self, space: PolySpace, coordinates, a: int, m: int, n: int):
         self.space = space
-        self.vectors = tuple(vectors)
+        self.coordinates = tuple(tuple(x) for x in coordinates)  # in the canonical basis
+        self.vectors = tuple(map(space.element, self.coordinates))
         self.a = a
         self.m = m
         self.n = n
@@ -385,10 +424,14 @@ class WittBasis:
         c = self.space.coords(f)
         if c is None:
             return None
-        return solve(transpose(self.space.coords(v) for v in self.vectors), c)[0]
+        return solve(transpose(self.coordinates), c)[0]
 
     def element(self, coords) -> Poly:
-        return combine(coords, self.vectors)
+        """The combination of the Witt vectors, through ``space.element``."""
+        if len(coords) != 7:
+            raise ValueError(f"expected 7 coordinates, got {len(coords)}")
+        x = lincomb(zip(map(rat, coords), self.coordinates))
+        return self.space.element(x + [0] * (7 - len(x)))
 
     def __repr__(self):
         return f"WittBasis(a={self.a}, m={self.m}, n={self.n})"
@@ -460,7 +503,7 @@ def witt_basis(space: PolySpace) -> WittBasis:
     coords = [[c * s for c in x] for x, s in zip(monic, scales)]
     for i, j, got, want in _witt_gram_mismatches(B, coords):
         raise WittGramError(f"pairing of rescaled vectors ({i}, {j}) is {got}, expected {want}")
-    return WittBasis(space, [space.element(x) for x in coords], a, m, n)
+    return WittBasis(space, coords, a, m, n)
 
 
 def monomial_space(m: int, n: int, a: int = 0) -> PolySpace:

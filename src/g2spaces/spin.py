@@ -20,7 +20,7 @@ from itertools import product
 
 from .linalg import kernel, rank, solve, transpose
 from .scalars import HALF_SQRT2, QExt, qext_sqrt
-from .spaces import witt_form
+from .spaces import _witt_coords, witt_form
 
 MASKS = [(), (5,), (6,), (7,), (5, 6), (6, 7), (5, 7), (5, 6, 7)]
 _INDEX = {mask: i for i, mask in enumerate(MASKS)}
@@ -132,18 +132,6 @@ def _generator(i: int) -> tuple[tuple[int, int, QExt], ...]:
 # The seven Witt generators, the only description of the Clifford action.
 _GENERATORS = tuple(_generator(i) for i in range(1, 8))
 _ZERO = QExt.lift(0)
-
-
-def _witt_coords(v) -> list:
-    """The seven Witt coordinates of v as a list; a wrong length raises
-    ValueError and a bool entry TypeError."""
-    v = list(v)
-    if len(v) != 7:
-        raise ValueError(f"vector needs 7 Witt coordinates, got {len(v)}")
-    for c in v:
-        if isinstance(c, bool):
-            raise TypeError(f"cannot interpret {c!r} as a rational")
-    return v
 
 
 def _action_rows(v) -> list[list[QExt]]:

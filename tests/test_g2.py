@@ -438,6 +438,25 @@ class TestFindStandardBasis:
         res = find_standard_basis(monomial_space(1, 3))
         assert res.status == "found"
 
+    @pytest.mark.parametrize("name, method", [("shifted-2-3", "flag"), ("deg6", "direct")])
+    def test_slot_equations_make_no_membership_check(self, monkeypatch, name, method):
+        # Slot vectors are built from coordinates, so only the certification
+        # may check membership; a check anywhere else fails the construction.
+        check, verify, certifying = PolySpace._check_members, g2.verify_standard_basis, []
+
+        def check_only_when_certifying(self, polys):
+            assert certifying, "membership check outside the certification"
+            return check(self, polys)
+
+        def counted_verify(space, vectors):
+            certifying.append(1)
+            return verify(space, vectors)
+
+        monkeypatch.setattr(PolySpace, "_check_members", check_only_when_certifying)
+        monkeypatch.setattr(g2, "verify_standard_basis", counted_verify)
+        res = find_standard_basis(PolySpace(get_space(name).basis))
+        assert (res.status, res.method, len(certifying)) == ("found", method, 1)
+
 
 class TestCheckSsd:
     def test_monomial_spaces_certify(self):

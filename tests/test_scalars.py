@@ -11,6 +11,7 @@ from g2spaces.scalars import (
     HALF_SQRT2,
     SQRT2,
     QExt,
+    _clear_ints,
     _int_clear,
     qext_sqrt,
     rat,
@@ -36,6 +37,18 @@ def test_rat_refuses_booleans():
             rat(b)
         with pytest.raises(TypeError, match=f"cannot interpret {b} as a rational"):
             QExt(0, b)
+
+
+def test_qext_arithmetic_refuses_booleans():
+    one = QExt(1)
+    for b in (True, False):
+        calls = (lambda: QExt.lift(b), lambda: one + b, lambda: b + one, lambda: one - b,
+                 lambda: b - one, lambda: one * b, lambda: b * one, lambda: one / b,
+                 lambda: one == b)
+        for call in calls:
+            with pytest.raises(TypeError, match=f"cannot interpret {b} as a rational"):
+                call()
+    assert one + 1 == QExt(2) and one * Fraction(1, 2) == QExt(Fraction(1, 2))
 
 
 def test_rational_sqrt_values():
@@ -294,3 +307,6 @@ def test_int_clear_gives_primitive_integers_and_a_positive_scale(values):
     assert [scale * v for v in ints] == values
     assert [v == 0 for v in ints] == [v == 0 for v in values]
     assert gcd(*ints) == (1 if any(values) else 0)
+    same, content, den = _clear_ints(values)
+    assert same == ints and den == scale.denominator
+    assert content == (scale.numerator if any(values) else 0)

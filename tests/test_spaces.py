@@ -25,6 +25,7 @@ from g2spaces.spaces import (
     _witt_gram_mismatches,
     _witt_pair,
     canonicalize,
+    combine,
     degree_steps,
     degree_window_space,
     monomial_space,
@@ -462,3 +463,100 @@ def test_witt_form_is_one_pairing_over_every_ring(x, y):
 def test_pair_coords():
     assert check_witt_form(_unit(0), _unit(6)) == 1
     assert check_witt_form(_unit(3), _unit(3)) == -1
+
+
+@st.composite
+def spaces_and_triples(draw):
+    """A fixture or a translate of it, and three elements from rational
+    coordinates through ``combine``, which seeds no coordinates; on about
+    half the draws the third is a combination of the first two, a zero
+    Wronskian."""
+    name = draw(st.sampled_from(sorted(SPACES)))
+    shift = draw(st.sampled_from([F(0), F(1), F(-1, 2), F(2, 3)]))
+    sp = PolySpace([p.translate(shift) for p in get_space(name).basis])
+    coords = st.lists(small_rats, min_size=sp.dim, max_size=sp.dim)
+    a, b, c = (draw(coords) for _ in range(3))
+    if draw(st.booleans()):
+        s, t = draw(small_rats), draw(small_rats)
+        c = [s * x + t * y for x, y in zip(a, b)]
+    return sp, [combine(x, sp.basis) for x in (a, b, c)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(spaces_and_triples())
+def test_pair_wronskians_match_divided_wronskian(case):
+    sp, (a, b, c) = case
+    divided = sp.pair_wronskians(a, b)
+    # One map of a pair serves every third element.
+    for third in (c, b + c, a):
+        assert divided(third) == sp.divided_wronskian([a, b, third])
+    assert divided(a).is_zero()
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+@settings(max_examples=10, deadline=None)
+@given(st.lists(small_rats, min_size=7, max_size=7))
+def test_elements_carry_their_coordinates(name, x):
+    sp = PolySpace(get_space(name).basis)
+    f = sp.element(x)
+    assert sp.coords(f) == x
+    assert PolySpace(sp.basis).coords(f) == x  # a fresh memo: the solve
+
+
+def test_element_coordinates_are_rationals():
+    sp = PolySpace(get_space("deg6").basis)
+    f = sp.element([1, "1/2", QExt(3), 0, 0, 0, F(-2)])
+    assert sp.coords(f) == [1, F(1, 2), 3, 0, 0, 0, -2]
+    assert all(type(c) is Fraction for c in sp.coords(f))
+
+
+def test_booleans_are_refused_as_coordinates():
+    sp = get_space("deg6")
+    wb = witt_basis(sp)
+    for b in (True, False):
+        v = [b, 0, 0, 0, 0, 0, 0]
+        calls = (lambda: witt_form(v, _unit(6)), lambda: witt_form(_unit(0), v[::-1]),
+                 lambda: sp.element(v), lambda: wb.element(v))
+        for call in calls:
+            with pytest.raises(TypeError, match=f"cannot interpret {b} as a rational"):
+                call()
+
+
+def _gram_double_sum(gram, x, y):
+    """The form as the Fraction double sum over every Gram entry."""
+    return sum((x[i] * y[j] * gram[i][j] for i in range(len(x)) for j in range(len(y))), F(0))
+
+
+sparse_rats = st.one_of(st.just(F(0)), small_rats)
+
+
+@pytest.mark.parametrize("name", sorted(set(SPACES) - {"not-self-dual"}))
+@settings(max_examples=15, deadline=None)
+@given(st.lists(sparse_rats, min_size=7, max_size=7), st.lists(sparse_rats, min_size=7, max_size=7))
+@example([F(0)] * 7, [F(1)] * 7)
+def test_integer_gram_sum_matches_the_double_sum(name, x, y):
+    B = get_space(name).bilinear_form()
+    got = B.pair(x, y)
+    assert type(got) is Fraction and got == _gram_double_sum(B.gram, x, y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(sparse_rats, min_size=7, max_size=7), min_size=7, max_size=7),
+       st.lists(sparse_rats, min_size=7, max_size=7), st.lists(sparse_rats, min_size=7, max_size=7))
+@example([[F(0)] * 7] * 7, [F(1)] * 7, [F(1)] * 7)
+def test_integer_gram_sum_of_any_gram_matrix(gram, x, y):
+    got = BilinearForm(degree_window_space(), gram).pair(x, y)
+    assert type(got) is Fraction and got == _gram_double_sum(gram, x, y)
+
+
+@pytest.mark.parametrize("name", sorted(set(SPACES) - {"not-self-dual"}))
+@settings(max_examples=10, deadline=None)
+@given(st.lists(sparse_rats, min_size=7, max_size=7))
+def test_witt_coords_and_element_round_trip(name, c):
+    sp = PolySpace(get_space(name).basis)
+    wb = witt_basis(sp)
+    f = wb.element(c)
+    assert f == sum((w * x for w, x in zip(wb.vectors, c)), Poly.zero())
+    assert wb.coords(f) == c
+    g = sp.element(c)
+    assert wb.element(wb.coords(g)) == g
